@@ -6,7 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include "llc/schemes.hpp"
+#include "api/registry.hpp"
+#include "common/rng.hpp"
 
 using namespace coopsim;
 
@@ -24,10 +25,10 @@ benchConfig()
 }
 
 void
-runAccessLoop(benchmark::State &state, llc::Scheme scheme)
+runAccessLoop(benchmark::State &state, const char *scheme)
 {
     mem::DramModel dram;
-    const auto llc = llc::makeLlc(scheme, benchConfig(), dram);
+    const auto llc = api::makeLlcByName(scheme, benchConfig(), dram);
     Rng rng(1);
     Cycle now = 0;
     for (auto _ : state) {
@@ -45,27 +46,27 @@ runAccessLoop(benchmark::State &state, llc::Scheme scheme)
 static void
 BM_LlcUnmanaged(benchmark::State &state)
 {
-    runAccessLoop(state, llc::Scheme::Unmanaged);
+    runAccessLoop(state, "unmanaged");
 }
 BENCHMARK(BM_LlcUnmanaged);
 
 static void
 BM_LlcFairShare(benchmark::State &state)
 {
-    runAccessLoop(state, llc::Scheme::FairShare);
+    runAccessLoop(state, "fairshare");
 }
 BENCHMARK(BM_LlcFairShare);
 
 static void
 BM_LlcUcp(benchmark::State &state)
 {
-    runAccessLoop(state, llc::Scheme::Ucp);
+    runAccessLoop(state, "ucp");
 }
 BENCHMARK(BM_LlcUcp);
 
 static void
 BM_LlcCooperative(benchmark::State &state)
 {
-    runAccessLoop(state, llc::Scheme::Cooperative);
+    runAccessLoop(state, "coop");
 }
 BENCHMARK(BM_LlcCooperative);

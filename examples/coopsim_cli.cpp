@@ -6,8 +6,8 @@
  *
  *  - `--spec=FILE` runs a full declarative experiment from a spec
  *    file (see specs/ for the paper's figures) and renders its table;
- *    `--scale=`/`--threads=`/`--seed=` override the file. Any figure
- *    bench is reproducible this way, bit-identically:
+ *    `--scale=`/`--threads=`/`--seed=` override the file. Every
+ *    figure of the paper is run this way, e.g.:
  *        coopsim_cli --spec=specs/fig05.spec --scale=test
  *  - `--spec=FILE --store=DIR` additionally serves every run already
  *    in DIR's result store from disk (zero simulations when warm —
@@ -376,8 +376,8 @@ main(int argc, char **argv)
                          files, cli.record_dir.c_str());
             return 0;
         }
-        // Reprint the bench preamble at the spec's effective scale so
-        // the output is bit-identical to the fig binary's.
+        // Print the preamble at the spec's effective scale: the
+        // `# scale:` line names the scale the table was run at.
         api::CliOptions effective = cli;
         effective.scale = api::scaleRegistry().get(spec.scale);
 

@@ -101,13 +101,6 @@ class PriorityLlc final : public llc::BaseLlc
         return static_cast<double>(powered_);
     }
 
-    // Reuse an existing tag for simplicity; the registry name is the
-    // real identity now.
-    llc::Scheme scheme() const override
-    {
-        return llc::Scheme::FairShare;
-    }
-
   private:
     std::vector<cache::WayMask> masks_;
     std::uint32_t powered_ = 0;

@@ -12,20 +12,29 @@ namespace coopsim::api
 namespace
 {
 
-/** Built-in scheme table: registry key, legend label, enum. */
+/** Builds a @p Scheme LLC (the factory of a built-in scheme). */
+template <typename Scheme>
+std::unique_ptr<llc::BaseLlc>
+makeScheme(const llc::LlcConfig &config, mem::DramModel &dram)
+{
+    return std::make_unique<Scheme>(config, dram);
+}
+
+/** Built-in scheme table: registry key, legend label, factory. */
 struct BuiltinScheme
 {
     const char *key;
     const char *label;
-    llc::Scheme scheme;
+    std::unique_ptr<llc::BaseLlc> (*factory)(const llc::LlcConfig &,
+                                             mem::DramModel &);
 };
 
 constexpr BuiltinScheme kBuiltinSchemes[] = {
-    {"unmanaged", "Unmanaged", llc::Scheme::Unmanaged},
-    {"fairshare", "FairShare", llc::Scheme::FairShare},
-    {"ucp", "UCP", llc::Scheme::Ucp},
-    {"cpe", "DynamicCPE", llc::Scheme::DynamicCpe},
-    {"coop", "Cooperative", llc::Scheme::Cooperative},
+    {"unmanaged", "Unmanaged", makeScheme<llc::UnmanagedLlc>},
+    {"fairshare", "FairShare", makeScheme<llc::FairShareLlc>},
+    {"ucp", "UCP", makeScheme<llc::UcpLlc>},
+    {"cpe", "DynamicCPE", makeScheme<llc::DynamicCpeLlc>},
+    {"coop", "Cooperative", makeScheme<llc::CooperativeLlc>},
 };
 
 /** Trailing-* glob: "G2-*" matches "G2-7"; anything else is exact. */
@@ -47,14 +56,7 @@ schemeRegistry()
     static Registry<SchemeEntry> registry = [] {
         Registry<SchemeEntry> r("scheme");
         for (const BuiltinScheme &b : kBuiltinSchemes) {
-            const llc::Scheme scheme = b.scheme;
-            r.add(b.key,
-                  SchemeEntry{b.label,
-                              [scheme](const llc::LlcConfig &config,
-                                       mem::DramModel &dram) {
-                                  return llc::makeLlc(scheme, config,
-                                                      dram);
-                              }});
+            r.add(b.key, SchemeEntry{b.label, b.factory});
         }
         return r;
     }();

@@ -1,8 +1,10 @@
 #include "api/spec.hpp"
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "api/parse_util.hpp"
 #include "api/registry.hpp"
@@ -64,7 +66,92 @@ resolveSolos(const ExperimentSpec &spec)
     return apps;
 }
 
+/** First value of an axis, or fatal when the axis is empty and a cell
+ *  did not override it. */
+template <typename T>
+const T &
+firstOf(const std::vector<T> &axis, const char *what)
+{
+    if (axis.empty()) {
+        COOPSIM_FATAL("cell does not specify a ", what,
+                      " and the spec's ", what, " axis is empty");
+    }
+    return axis.front();
+}
+
+/** A cell's axis name, or the spec's first value when it is empty. */
+const std::string &
+nameOf(const std::string &cell_value,
+       const std::vector<std::string> &axis, const char *what)
+{
+    return !cell_value.empty() ? cell_value : firstOf(axis, what);
+}
+
+/** The fields group and solo keys share: scale, repl, seed and the
+ *  sampling mode with its knobs. Knobs that don't apply to the mode
+ *  are zeroed so keys stay canonical (exact keys format
+ *  byte-identically to the pre-sampling encoding). */
+sim::RunKey
+commonKey(const ExperimentSpec &spec, const Cell &cell)
+{
+    sim::RunKey key;
+    key.scale = scaleRegistry().get(spec.scale);
+    key.repl = replPolicyRegistry().get(
+        nameOf(cell.repl, spec.repl, "replacement policy"));
+    key.seed = cell.seed.value_or(firstOf(spec.seeds, "seed"));
+    const sampling::Mode mode = samplingRegistry().get(
+        nameOf(cell.sampling, spec.sampling, "sampling mode"));
+    key.sampling = mode;
+    key.set_sample_period =
+        sampling::setSampled(mode) ? spec.set_sample_period : 0;
+    key.op_sample_windows =
+        mode != sampling::Mode::Exact ? spec.op_sample_windows : 0;
+    return key;
+}
+
 } // namespace
+
+sim::RunKey
+groupKey(const ExperimentSpec &spec, const Cell &cell)
+{
+    sim::RunKey key = commonKey(spec, cell);
+    key.kind = sim::RunKey::Kind::Group;
+    key.scheme = nameOf(cell.scheme, spec.schemes, "scheme");
+    schemeRegistry().get(key.scheme); // fatal here, not in a worker
+    key.name = cell.group;
+    key.num_cores = static_cast<std::uint32_t>(
+        workloadRegistry().get(cell.group).apps.size());
+    key.threshold =
+        cell.threshold.value_or(firstOf(spec.thresholds, "threshold"));
+    key.threshold_mode = thresholdModeRegistry().get(nameOf(
+        cell.threshold_mode, spec.threshold_modes, "threshold mode"));
+    key.partitioner = partitionerRegistry().get(
+        nameOf(cell.partitioner, spec.partitioners, "partitioner"));
+    key.gating = gatingModeRegistry().get(
+        nameOf(cell.gating, spec.gating, "gating mode"));
+    key.banks = cell.banks.value_or(firstOf(spec.banks, "banks"));
+    key.slice_hash = sliceHashRegistry().get(
+        nameOf(cell.slice_hash, spec.slice_hashes, "slice hash"));
+    return key;
+}
+
+sim::RunKey
+soloKey(const ExperimentSpec &spec, const std::string &app,
+        std::uint32_t cores, const Cell &cell)
+{
+    sim::RunKey key = commonKey(spec, cell);
+    key.kind = sim::RunKey::Kind::Solo;
+    key.scheme = "unmanaged";
+    key.name = app;
+    key.num_cores = cores;
+    key.threshold = 0.0;
+    key.threshold_mode = partition::ThresholdMode::MissRatio;
+    key.partitioner = partition::Partitioner::Lookahead;
+    key.gating = llc::GatingMode::GatedVdd;
+    key.banks = 0;
+    key.slice_hash = llc::SliceHashKind::Mod;
+    return key;
+}
 
 void
 validateSpec(const ExperimentSpec &spec)
@@ -195,7 +282,6 @@ std::vector<sim::RunKey>
 expandSpec(const ExperimentSpec &spec)
 {
     validateSpec(spec);
-    const sim::RunScale scale = scaleRegistry().get(spec.scale);
 
     std::vector<sim::RunKey> keys;
     const std::vector<trace::WorkloadGroup> groups =
@@ -204,113 +290,61 @@ expandSpec(const ExperimentSpec &spec)
     // Group runs: the full cross-product, groups outermost so all
     // cells of one table row are adjacent in the queue.
     for (const trace::WorkloadGroup &group : groups) {
-        const auto cores =
-            static_cast<std::uint32_t>(group.apps.size());
-        for (const std::string &scheme : spec.schemes) {
-            for (const double threshold : spec.thresholds) {
-                for (const std::string &tmode : spec.threshold_modes) {
-                  for (const std::string &part : spec.partitioners) {
-                    for (const std::string &policy : spec.repl) {
-                      for (const std::string &gating : spec.gating) {
-                        for (const std::uint32_t banks : spec.banks) {
-                          for (const std::string &hash :
-                               spec.slice_hashes) {
-                           for (const std::string &samp :
-                                spec.sampling) {
-                            for (const std::uint64_t seed : spec.seeds) {
-                                sim::RunKey key;
-                                key.kind = sim::RunKey::Kind::Group;
-                                key.scheme = scheme;
-                                key.name = group.name;
-                                key.num_cores = cores;
-                                key.scale = scale;
-                                key.threshold = threshold;
-                                key.threshold_mode =
-                                    thresholdModeRegistry().get(tmode);
-                                key.partitioner =
-                                    partitionerRegistry().get(part);
-                                key.repl =
-                                    replPolicyRegistry().get(policy);
-                                key.gating =
-                                    gatingModeRegistry().get(gating);
-                                key.seed = seed;
-                                key.banks = banks;
-                                key.slice_hash =
-                                    sliceHashRegistry().get(hash);
-                                // Knobs that don't apply to the mode
-                                // are zeroed so keys stay canonical
-                                // (exact keys carry no sampling state
-                                // and format byte-identically to the
-                                // pre-sampling encoding).
-                                const sampling::Mode mode =
-                                    samplingRegistry().get(samp);
-                                key.sampling = mode;
-                                key.set_sample_period =
-                                    sampling::setSampled(mode)
-                                        ? spec.set_sample_period
-                                        : 0;
-                                key.op_sample_windows =
-                                    mode != sampling::Mode::Exact
-                                        ? spec.op_sample_windows
-                                        : 0;
-                                keys.push_back(std::move(key));
-                            }
-                           }
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
+      for (const std::string &scheme : spec.schemes) {
+       for (const double threshold : spec.thresholds) {
+        for (const std::string &tmode : spec.threshold_modes) {
+         for (const std::string &part : spec.partitioners) {
+          for (const std::string &policy : spec.repl) {
+           for (const std::string &gating : spec.gating) {
+            for (const std::uint32_t banks : spec.banks) {
+             for (const std::string &hash : spec.slice_hashes) {
+              for (const std::string &samp : spec.sampling) {
+               for (const std::uint64_t seed : spec.seeds) {
+                   keys.push_back(groupKey(
+                       spec, {.group = group.name,
+                              .scheme = scheme,
+                              .threshold = threshold,
+                              .threshold_mode = tmode,
+                              .partitioner = part,
+                              .repl = policy,
+                              .gating = gating,
+                              .seed = seed,
+                              .banks = banks,
+                              .slice_hash = hash,
+                              .sampling = samp}));
+               }
+              }
+             }
             }
+           }
+          }
+         }
         }
+       }
+      }
     }
 
-    // Solo baselines: scheme-only fields are normalised (see
-    // sim::soloKey), so the solo axes are (app x cores x repl x seed).
-    // Shared apps across groups are deduplicated.
+    // Solo baselines: the solo axes are (app x cores x repl x sampling
+    // x seed), since soloKey() normalises every other axis away. An
+    // (app, cores) pair shared by several groups is expanded once, and
+    // repeated axis values yield each key once.
+    std::set<std::pair<std::string, std::uint32_t>> expanded;
     std::unordered_set<sim::RunKey, sim::RunKeyHash> seen;
     auto add_solo = [&](const std::string &app, std::uint32_t cores) {
+        if (!expanded.emplace(app, cores).second) {
+            return;
+        }
         for (const std::string &policy : spec.repl) {
-          for (const std::string &samp : spec.sampling) {
-            for (const std::uint64_t seed : spec.seeds) {
-                sim::RunKey key;
-                key.kind = sim::RunKey::Kind::Solo;
-                key.scheme = "unmanaged";
-                key.name = app;
-                key.num_cores = cores;
-                key.scale = scale;
-                key.threshold = 0.0;
-                key.threshold_mode =
-                    partition::ThresholdMode::MissRatio;
-                key.partitioner = partition::Partitioner::Lookahead;
-                key.repl = replPolicyRegistry().get(policy);
-                key.gating = llc::GatingMode::GatedVdd;
-                key.seed = seed;
-                // Banking is normalised like the scheme-only fields:
-                // the solo baseline runs on the topology's default
-                // organisation regardless of the sweep's banks axis.
-                key.banks = 0;
-                key.slice_hash = llc::SliceHashKind::Mod;
-                // Sampling, however, is inherited: a sampled sweep's
-                // solo baselines are sampled too (that is where most
-                // of a with_solo sweep's time goes), and the
-                // estimator error is carried into the metric CI.
-                const sampling::Mode mode =
-                    samplingRegistry().get(samp);
-                key.sampling = mode;
-                key.set_sample_period =
-                    sampling::setSampled(mode) ? spec.set_sample_period
-                                               : 0;
-                key.op_sample_windows =
-                    mode != sampling::Mode::Exact
-                        ? spec.op_sample_windows
-                        : 0;
-                if (seen.insert(key).second) {
-                    keys.push_back(std::move(key));
+            for (const std::string &samp : spec.sampling) {
+                for (const std::uint64_t seed : spec.seeds) {
+                    sim::RunKey key = soloKey(
+                        spec, app, cores,
+                        {.repl = policy, .seed = seed, .sampling = samp});
+                    if (seen.insert(key).second) {
+                        keys.push_back(std::move(key));
+                    }
                 }
             }
-          }
         }
     };
     if (spec.with_solo) {

@@ -24,6 +24,7 @@
 #define COOPSIM_API_SPEC_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,54 @@ struct ExperimentSpec
     bool operator==(const ExperimentSpec &) const = default;
 };
 
+/**
+ * Addresses one run of an experiment by registry names: any field
+ * left empty is taken from the spec (the first value of the
+ * corresponding axis). Every field is defaulted, so a designated
+ * initialiser may name any subset: `{.group = "G2-3", .scheme =
+ * "ucp"}`.
+ */
+struct Cell
+{
+    std::string group = {};
+    std::string scheme = {};
+    std::optional<double> threshold = {};
+    std::string threshold_mode = {};
+    std::string partitioner = {};
+    std::string repl = {};
+    std::string gating = {};
+    std::optional<std::uint64_t> seed = {};
+    /** LLC bank count (0 = topology default). */
+    std::optional<std::uint32_t> banks = {};
+    /** Slice-hash registry name ("mod", "xor"). */
+    std::string slice_hash = {};
+    /** Sampling-mode registry name ("exact", "set", "op", "setop"). */
+    std::string sampling = {};
+};
+
+/**
+ * The RunKey of the group run @p cell names under @p spec: the one
+ * place a group key is built (expandSpec(), ExperimentResults and the
+ * tests all call it). Names resolve through their registries, so an
+ * unknown scheme or group is fatal here, at key-build time, not in a
+ * worker thread mid-sweep. Sampling knobs that do not apply to the
+ * cell's mode are zeroed, so exact keys carry no sampling state.
+ */
+sim::RunKey groupKey(const ExperimentSpec &spec, const Cell &cell);
+
+/**
+ * The RunKey of @p app's solo baseline on the @p cores-core system:
+ * the one place a solo key is built. Solo runs are scheme-independent
+ * (the unmanaged LLC on the topology's default organisation), so the
+ * scheme, threshold, threshold-mode, partitioner, gating and banking
+ * axes are normalised away and a sweep over any of them reuses one
+ * solo run per app. Replacement policy, seed and sampling mode come
+ * from @p cell or the spec: a sampled sweep's baselines are sampled
+ * too, and their estimator error is carried into the metric CI.
+ */
+sim::RunKey soloKey(const ExperimentSpec &spec, const std::string &app,
+                    std::uint32_t cores, const Cell &cell = {});
+
 /** Validates every name in @p spec against its registry (fatal with
  *  the offending name otherwise). */
 void validateSpec(const ExperimentSpec &spec);
@@ -124,11 +173,11 @@ std::vector<trace::WorkloadGroup>
 resolveSpecGroups(const ExperimentSpec &spec);
 
 /**
- * Expands @p spec into the cross-product of RunKeys: one Group key
+ * Expands @p spec into the cross-product of RunKeys: one groupKey()
  * per (group x scheme x threshold x threshold_mode x partitioner x
- * repl x gating x seed), followed by the deduplicated Solo keys
- * (per-app baselines when with_solo, plus the explicit solos axis).
- * Deterministic order.
+ * repl x gating x banks x slice_hash x sampling x seed), followed by
+ * the deduplicated soloKey()s (per-app baselines when with_solo, plus
+ * the explicit solos axis). Deterministic order.
  */
 std::vector<sim::RunKey> expandSpec(const ExperimentSpec &spec);
 

@@ -121,12 +121,6 @@ BankedLlc::allocation() const
     return total;
 }
 
-Scheme
-BankedLlc::scheme() const
-{
-    return banks_.front()->scheme();
-}
-
 void
 BankedLlc::integrateStatic(Cycle now)
 {

@@ -64,7 +64,6 @@ class BankedLlc final : public Llc
     void epoch(Cycle now) override;
     double poweredWays() const override;
     std::vector<std::uint32_t> allocation() const override;
-    Scheme scheme() const override;
     void integrateStatic(Cycle now) override;
     void resetStats(Cycle now) override;
 

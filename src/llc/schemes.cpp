@@ -983,25 +983,4 @@ CooperativeLlc::checkInvariants() const
     }
 }
 
-// ---------------------------------------------------------------------------
-// Factory
-
-std::unique_ptr<BaseLlc>
-makeLlc(Scheme scheme, const LlcConfig &config, mem::DramModel &dram)
-{
-    switch (scheme) {
-      case Scheme::Unmanaged:
-        return std::make_unique<UnmanagedLlc>(config, dram);
-      case Scheme::FairShare:
-        return std::make_unique<FairShareLlc>(config, dram);
-      case Scheme::Ucp:
-        return std::make_unique<UcpLlc>(config, dram);
-      case Scheme::DynamicCpe:
-        return std::make_unique<DynamicCpeLlc>(config, dram);
-      case Scheme::Cooperative:
-        return std::make_unique<CooperativeLlc>(config, dram);
-    }
-    COOPSIM_PANIC("unknown scheme");
-}
-
 } // namespace coopsim::llc

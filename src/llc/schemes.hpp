@@ -64,7 +64,6 @@ class UnmanagedLlc final : public BaseLlc
     LlcAccess access(CoreId core, Addr addr, AccessType type,
                      Cycle now) override;
     std::vector<std::uint32_t> allocation() const override;
-    Scheme scheme() const override { return Scheme::Unmanaged; }
 };
 
 /** Static equal, way-aligned split. */
@@ -76,7 +75,6 @@ class FairShareLlc final : public BaseLlc
     LlcAccess access(CoreId core, Addr addr, AccessType type,
                      Cycle now) override;
     std::vector<std::uint32_t> allocation() const override;
-    Scheme scheme() const override { return Scheme::FairShare; }
 
     /** The fixed probe mask of @p core. */
     cache::WayMask maskOf(CoreId core) const { return masks_[core]; }
@@ -98,7 +96,6 @@ class UcpLlc final : public BaseLlc
     {
         return alloc_;
     }
-    Scheme scheme() const override { return Scheme::Ucp; }
 
     const MonitorBank &monitors() const { return monitors_; }
 
@@ -140,7 +137,6 @@ class DynamicCpeLlc final : public BaseLlc
     {
         return alloc_;
     }
-    Scheme scheme() const override { return Scheme::DynamicCpe; }
     double poweredWays() const override;
 
     /** Cycle until which the LLC is blocked by a repartition flush. */
@@ -171,7 +167,6 @@ class CooperativeLlc final : public BaseLlc
                      Cycle now) override;
     void epoch(Cycle now) override;
     std::vector<std::uint32_t> allocation() const override;
-    Scheme scheme() const override { return Scheme::Cooperative; }
     double poweredWays() const override;
 
     const PermissionFile &permissions() const { return perms_; }

@@ -33,19 +33,6 @@
 namespace coopsim::llc
 {
 
-/** Which partitioning scheme an LLC instance implements. */
-enum class Scheme : std::uint8_t
-{
-    Unmanaged,
-    FairShare,
-    Ucp,
-    DynamicCpe,
-    Cooperative,
-};
-
-/** Human-readable scheme name (matches the paper's legends). */
-const char *schemeName(Scheme scheme);
-
 /**
  * How unowned ways save static energy (extension; DESIGN.md §8).
  *
@@ -198,9 +185,6 @@ class Llc
     /** Current way allocation per core (logical, for inspection). */
     virtual std::vector<std::uint32_t> allocation() const = 0;
 
-    /** Scheme identity. */
-    virtual Scheme scheme() const = 0;
-
     /** Integrates leakage up to @p now (also called by accesses). */
     virtual void integrateStatic(Cycle now) = 0;
 
@@ -350,10 +334,6 @@ class BaseLlc : public Llc
     stats::Counter epochs_;
     stats::Counter repartitions_;
 };
-
-/** Factory: builds the LLC variant for @p scheme. */
-std::unique_ptr<BaseLlc> makeLlc(Scheme scheme, const LlcConfig &config,
-                                 mem::DramModel &dram);
 
 } // namespace coopsim::llc
 

@@ -70,7 +70,6 @@ class SetSampledLlc final : public llc::Llc
     {
         return inner_->allocation();
     }
-    llc::Scheme scheme() const override { return inner_->scheme(); }
     void integrateStatic(Cycle now) override
     {
         inner_->integrateStatic(now);

@@ -185,7 +185,7 @@ class RunExecutor
     RunExecutor(const RunExecutor &) = delete;
     RunExecutor &operator=(const RunExecutor &) = delete;
 
-    /** The process-wide executor used by the sim::runGroup family. */
+    /** The process-wide executor behind api::ExperimentResults. */
     static RunExecutor &instance();
 
     /**

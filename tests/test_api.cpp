@@ -9,17 +9,21 @@
  *  - canonical text encoding round-trips for specs and RunKeys
  *    (parse(format(x)) == x, including non-representable decimals);
  *  - the unified CLI parser (uniform unknown-flag rejection);
- *  - drained-executor clearRunCache();
+ *  - the one group-key and solo-key builders (eager validation, solo
+ *    normalisation);
+ *  - every spec's table renders from its expanded keys alone;
+ *  - drained-executor RunExecutor::clear();
  *  - a custom scheme registered by name running end-to-end through
  *    the executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include <coopsim/experiment.hpp>
 
-#include "llc/schemes.hpp"
-#include "sim/runner.hpp"
+#include "sim/metrics.hpp"
 
 using namespace coopsim;
 using namespace coopsim::api;
@@ -78,12 +82,7 @@ TEST(Registry, DuplicateRegistrationIsFatal)
 {
     setThrowOnFatal(true);
     EXPECT_THROW(registerScheme("coop", "Duplicate",
-                                [](const llc::LlcConfig &config,
-                                   mem::DramModel &dram) {
-                                    return llc::makeLlc(
-                                        llc::Scheme::Cooperative,
-                                        config, dram);
-                                }),
+                                schemeRegistry().get("coop").factory),
                  FatalError);
     setThrowOnFatal(false);
 }
@@ -244,20 +243,21 @@ TEST(SpecEncoding, HandWrittenSpecsKeepDefaultsForOmittedKeys)
 
 TEST(RunKeyEncoding, GroupAndSoloKeysRoundTrip)
 {
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    options.threshold = 1.0 / 3.0;
-    options.threshold_mode = partition::ThresholdMode::PaperLiteral;
-    options.partitioner = partition::Partitioner::GreedyUtility;
-    options.repl = cache::ReplPolicy::Mru;
-    options.gating = llc::GatingMode::Drowsy;
-    options.seed = 1234567890123456789ull;
+    ExperimentSpec spec;
+    spec.scale = "test";
+    spec.seeds = {1234567890123456789ull};
+    const Cell cell = {.group = "G4-3",
+                       .scheme = "cpe",
+                       .threshold = 1.0 / 3.0,
+                       .threshold_mode = "paperliteral",
+                       .partitioner = "greedy",
+                       .repl = "mru",
+                       .gating = "drowsy"};
 
-    const sim::RunKey group = sim::groupKey(
-        "cpe", trace::groupByName("G4-3"), options);
+    const sim::RunKey group = groupKey(spec, cell);
     EXPECT_EQ(parseRunKey(formatRunKey(group)), group);
 
-    const sim::RunKey solo = sim::soloKey("h264ref", 2, options);
+    const sim::RunKey solo = soloKey(spec, "h264ref", 2, cell);
     EXPECT_EQ(parseRunKey(formatRunKey(solo)), solo);
 }
 
@@ -269,6 +269,97 @@ TEST(RunKeyEncoding, ParseRejectsMalformedLines)
     EXPECT_THROW(parseRunKey("group bogus"), FatalError);
     EXPECT_THROW(parseRunKey("group color=red"), FatalError);
     setThrowOnFatal(false);
+}
+
+// ---------------------------------------------------------------------------
+// Key builders
+
+TEST(KeyBuilders, GroupKeyTakesUnsetAxesFromTheSpec)
+{
+    ExperimentSpec spec;
+    spec.schemes = {"ucp", "coop"};
+    spec.thresholds = {0.1, 0.2};
+    spec.seeds = {9, 10};
+    spec.scale = "test";
+    const sim::RunKey key = groupKey(spec, {.group = "G4-3"});
+    EXPECT_EQ(key.kind, sim::RunKey::Kind::Group);
+    EXPECT_EQ(key.scheme, "ucp");
+    EXPECT_EQ(key.name, "G4-3");
+    EXPECT_EQ(key.num_cores, 4u);
+    EXPECT_EQ(key.scale, sim::RunScale::Test);
+    EXPECT_EQ(key.threshold, 0.1);
+    EXPECT_EQ(key.seed, 9u);
+
+    const sim::RunKey other =
+        groupKey(spec, {.group = "G4-3", .scheme = "coop", .seed = 10});
+    EXPECT_EQ(other.scheme, "coop");
+    EXPECT_EQ(other.seed, 10u);
+    EXPECT_EQ(other.threshold, 0.1);
+}
+
+TEST(KeyBuilders, GroupKeyRejectsUnknownNamesAtBuildTime)
+{
+    // A typo'd scheme dies when the key is built, not inside a worker
+    // thread mid-sweep.
+    ExperimentSpec spec;
+    spec.scale = "test";
+    setThrowOnFatal(true);
+    EXPECT_THROW(groupKey(spec, {.group = "G2-10", .scheme = "warpdrive"}),
+                 FatalError);
+    EXPECT_THROW(groupKey(spec, {.group = "G3-1"}), FatalError);
+    spec.schemes = {};
+    EXPECT_THROW(groupKey(spec, {.group = "G2-10"}), FatalError);
+    setThrowOnFatal(false);
+}
+
+TEST(KeyBuilders, SoloKeyNormalisesSchemeOnlyAndBankingAxes)
+{
+    // A threshold, threshold-mode, gating, partitioner or banking sweep
+    // must reuse one solo run per app.
+    ExperimentSpec spec;
+    spec.scale = "test";
+    const sim::RunKey plain = soloKey(spec, "h264ref", 8);
+    const sim::RunKey swept =
+        soloKey(spec, "h264ref", 8,
+                {.scheme = "ucp",
+                 .threshold = 0.2,
+                 .threshold_mode = "paperliteral",
+                 .partitioner = "equalshare",
+                 .gating = "drowsy",
+                 .banks = 4,
+                 .slice_hash = "xor"});
+    EXPECT_EQ(plain, swept);
+    EXPECT_EQ(plain.kind, sim::RunKey::Kind::Solo);
+    EXPECT_EQ(plain.scheme, "unmanaged");
+    EXPECT_EQ(plain.threshold, 0.0);
+    EXPECT_EQ(plain.banks, 0u);
+    EXPECT_EQ(plain.slice_hash, llc::SliceHashKind::Mod);
+    // ...while the group keys of the same sweep stay distinct.
+    EXPECT_NE(groupKey(spec, {.group = "G8-cpu1"}),
+              groupKey(spec, {.group = "G8-cpu1",
+                              .partitioner = "equalshare"}));
+}
+
+TEST(KeyBuilders, SoloKeyInheritsReplSeedAndSampling)
+{
+    ExperimentSpec spec;
+    spec.scale = "test";
+    spec.set_sample_period = 8;
+    spec.op_sample_windows = 16;
+    const sim::RunKey key = soloKey(
+        spec, "mcf", 2, {.repl = "mru", .seed = 7, .sampling = "setop"});
+    EXPECT_EQ(key.repl, cache::ReplPolicy::Mru);
+    EXPECT_EQ(key.seed, 7u);
+    EXPECT_EQ(key.sampling, sampling::Mode::SetOp);
+    EXPECT_EQ(key.set_sample_period, 8u);
+    EXPECT_EQ(key.op_sample_windows, 16u);
+    // Knobs that do not apply to the mode are zeroed.
+    const sim::RunKey op = soloKey(spec, "mcf", 2, {.sampling = "op"});
+    EXPECT_EQ(op.set_sample_period, 0u);
+    EXPECT_EQ(op.op_sample_windows, 16u);
+    const sim::RunKey exact = soloKey(spec, "mcf", 2);
+    EXPECT_EQ(exact.set_sample_period, 0u);
+    EXPECT_EQ(exact.op_sample_windows, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +515,7 @@ TEST(Cli, LenientModeSkipsFlagsOtherBinariesOwn)
 // ---------------------------------------------------------------------------
 // Executor drain + end-to-end
 
-TEST(Experiment, ClearRunCacheDrainsThenInvalidates)
+TEST(Experiment, ClearDrainsThenInvalidates)
 {
     const ExperimentSpec spec = tinySpec();
     const std::vector<sim::RunKey> keys = expandSpec(spec);
@@ -433,45 +524,102 @@ TEST(Experiment, ClearRunCacheDrainsThenInvalidates)
     // clear() right after an unconsumed prefetch is the racy shape
     // the drain wait exists for: it must block until the queued runs
     // retire, then invalidate.
-    sim::prefetch(keys);
-    sim::clearRunCache();
+    sim::RunExecutor &executor = sim::RunExecutor::instance();
+    executor.prefetch(keys);
+    executor.clear();
 
-    sim::prefetch(keys);
-    const std::uint64_t cycles =
-        sim::RunExecutor::instance().run(keys.front()).total_cycles;
+    executor.prefetch(keys);
+    const std::uint64_t cycles = executor.run(keys.front()).total_cycles;
     EXPECT_GT(cycles, 0u);
 
     // Recomputation after a second clear is deterministic. (The old
     // reference itself dangles after clear(), per the documented
     // contract, so only the copied value is compared.)
-    sim::clearRunCache();
-    const sim::RunResult &after =
-        sim::RunExecutor::instance().run(keys.front());
+    executor.clear();
+    const sim::RunResult &after = executor.run(keys.front());
     EXPECT_FALSE(after.apps.empty());
     EXPECT_EQ(after.total_cycles, cycles);
 }
 
-TEST(Experiment, ResultsViewMatchesRunnerShims)
+TEST(Experiment, ResultsViewServesTheExecutorMemo)
 {
     ExperimentSpec spec = tinySpec();
     spec.with_solo = true;
     const ExperimentResults results = runExperiment(spec);
 
-    Cell cell;
-    cell.group = "G2-10";
-    const sim::RunResult &via_api = results.result(cell);
-
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    const sim::RunResult &via_runner = sim::runGroup(
-        "fairshare", trace::groupByName("G2-10"), options);
+    const Cell cell = {.group = "G2-10"};
+    sim::RunExecutor &executor = sim::RunExecutor::instance();
     // Same RunKey -> same memoised object.
-    EXPECT_EQ(&via_api, &via_runner);
-    EXPECT_DOUBLE_EQ(
-        results.weightedSpeedup(cell),
-        sim::groupWeightedSpeedup("fairshare",
-                                  trace::groupByName("G2-10"),
-                                  options));
+    const sim::RunResult &shared = executor.run(groupKey(spec, cell));
+    EXPECT_EQ(&results.result(cell), &shared);
+
+    std::vector<double> alone;
+    for (const std::string &app : trace::groupByName("G2-10").apps) {
+        alone.push_back(
+            executor.run(soloKey(spec, app, 2)).apps.at(0).ipc);
+    }
+    EXPECT_DOUBLE_EQ(results.weightedSpeedup(cell),
+                     sim::weightedSpeedup(shared, alone));
+}
+
+namespace
+{
+
+/** A stand-in result with positive metrics, sized for @p key. */
+sim::RunResult
+placeholderResult(const sim::RunKey &key)
+{
+    sim::RunResult result;
+    result.apps.resize(key.kind == sim::RunKey::Kind::Group
+                           ? key.num_cores
+                           : 1);
+    for (sim::AppResult &app : result.apps) {
+        app.ipc = 1.0;
+    }
+    result.dynamic_energy_nj = 1.0;
+    result.static_energy_nj = 1.0;
+    return result;
+}
+
+} // namespace
+
+TEST(Experiment, EverySpecRendersFromItsExpandedKeysAlone)
+{
+    // The store behind the executor holds a stand-in result for
+    // exactly the keys expandSpec() produced, so a table cell that
+    // resolved to any other key would have to simulate it.
+    sim::RunExecutor &executor = sim::RunExecutor::instance();
+    std::size_t specs = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(COOPSIM_SPEC_DIR)) {
+        const std::string name = entry.path().stem().string();
+        if (name.ends_with("_trace")) {
+            continue; // replays recorded traces the tree does not ship
+        }
+        ExperimentSpec spec = parseSpecFile(entry.path().string());
+        spec.scale = "test";
+        auto planted = std::make_shared<store::ResultStore>();
+        for (const sim::RunKey &key : expandSpec(spec)) {
+            planted->put(key, placeholderResult(key));
+        }
+
+        executor.clear();
+        executor.attachStore(planted);
+        const std::uint64_t before = executor.stats().simulations;
+        {
+            const ExperimentResults results(spec);
+            EXPECT_EQ(results.keys().size(), planted->size()) << name;
+            testing::internal::CaptureStdout();
+            printTable(results);
+            EXPECT_FALSE(testing::internal::GetCapturedStdout().empty());
+        }
+        EXPECT_EQ(executor.stats().simulations, before) << name;
+        EXPECT_EQ(planted->size(), expandSpec(spec).size()) << name;
+        executor.attachStore(nullptr);
+        executor.clear();
+        ++specs;
+    }
+    EXPECT_GE(specs, 15u);
 }
 
 TEST(Experiment, CustomSchemeRunsThroughTheExecutorByName)
@@ -482,11 +630,7 @@ TEST(Experiment, CustomSchemeRunsThroughTheExecutorByName)
     // numbers under a distinct memo entry.
     if (!schemeRegistry().contains("fairclone")) {
         registerScheme("fairclone", "FairClone",
-                       [](const llc::LlcConfig &config,
-                          mem::DramModel &dram) {
-                           return llc::makeLlc(llc::Scheme::FairShare,
-                                               config, dram);
-                       });
+                       schemeRegistry().get("fairshare").factory);
     }
 
     ExperimentSpec spec = tinySpec();
@@ -522,11 +666,8 @@ TEST(Experiment, WorkerExceptionsBecomeRunFailuresNotPoolDeaths)
                        });
     }
 
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    sim::RunKey bad = sim::groupKey(
-        "fairshare", trace::groupByName("G2-10"), options);
-    bad.scheme = "faulty";
+    const sim::RunKey bad =
+        groupKey(tinySpec(), {.group = "G2-10", .scheme = "faulty"});
 
     auto recording = std::make_shared<store::ResultStore>();
     sim::RunExecutor executor(2);

@@ -25,7 +25,7 @@
 
 #include <coopsim/experiment.hpp>
 
-#include "sim/runner.hpp"
+#include "sim/executor.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/runner.hpp"
+#include <coopsim/experiment.hpp>
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -14,12 +14,17 @@ using namespace coopsim::sim;
 namespace
 {
 
-RunOptions
-testOptions()
+/** Test-scale results view of every scheme on @p groups (with the
+ *  solo baselines the weighted-speedup checks need). */
+api::ExperimentResults
+testResults(std::vector<std::string> groups)
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-    return options;
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.schemes = {"unmanaged", "fairshare", "cpe", "ucp", "coop"};
+    spec.groups = std::move(groups);
+    spec.scale = "test";
+    return api::runExperiment(spec);
 }
 
 } // namespace
@@ -29,17 +34,17 @@ TEST(Integration, WaysProbedOrderingAcrossSchemes)
     // Paper Section 4: Unmanaged and UCP probe every way; FairShare
     // probes its share; Cooperative probes fewer than FairShare on
     // average (2.9 vs 4 at two cores).
-    const auto &group = trace::groupByName("G2-2");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults({"G2-2"});
+    const std::string group = "G2-2";
 
     const double unmanaged =
-        runGroup("unmanaged", group, options).avg_ways_probed;
+        results.result({.group = group, .scheme = "unmanaged"}).avg_ways_probed;
     const double fair =
-        runGroup("fairshare", group, options).avg_ways_probed;
+        results.result({.group = group, .scheme = "fairshare"}).avg_ways_probed;
     const double ucp =
-        runGroup("ucp", group, options).avg_ways_probed;
+        results.result({.group = group, .scheme = "ucp"}).avg_ways_probed;
     const double coop =
-        runGroup("coop", group, options)
+        results.result({.group = group, .scheme = "coop"})
             .avg_ways_probed;
 
     EXPECT_DOUBLE_EQ(unmanaged, 8.0);
@@ -50,19 +55,19 @@ TEST(Integration, WaysProbedOrderingAcrossSchemes)
 
 TEST(Integration, DynamicEnergyShapeMatchesFigure6)
 {
-    const auto &group = trace::groupByName("G2-2");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults({"G2-2"});
+    const std::string group = "G2-2";
 
     const double fair =
-        runGroup("fairshare", group, options)
+        results.result({.group = group, .scheme = "fairshare"})
             .dynamic_energy_nj;
     const double unmanaged =
-        runGroup("unmanaged", group, options)
+        results.result({.group = group, .scheme = "unmanaged"})
             .dynamic_energy_nj;
     const double ucp =
-        runGroup("ucp", group, options).dynamic_energy_nj;
+        results.result({.group = group, .scheme = "ucp"}).dynamic_energy_nj;
     const double coop =
-        runGroup("coop", group, options)
+        results.result({.group = group, .scheme = "coop"})
             .dynamic_energy_nj;
 
     // Unmanaged ~2x FairShare; UCP slightly above Unmanaged (monitor
@@ -74,15 +79,15 @@ TEST(Integration, DynamicEnergyShapeMatchesFigure6)
 
 TEST(Integration, StaticEnergyOnlyGatingSchemesSave)
 {
-    const auto &group = trace::groupByName("G2-2");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults({"G2-2"});
+    const std::string group = "G2-2";
 
     const RunResult &fair =
-        runGroup("fairshare", group, options);
+        results.result({.group = group, .scheme = "fairshare"});
     const RunResult &coop =
-        runGroup("coop", group, options);
+        results.result({.group = group, .scheme = "coop"});
     const RunResult &cpe =
-        runGroup("cpe", group, options);
+        results.result({.group = group, .scheme = "cpe"});
 
     // Static energy is proportional to powered ways x time; compare
     // per cycle so runtime differences don't blur the comparison.
@@ -101,15 +106,15 @@ TEST(Integration, CooperativePerformanceIsCompetitive)
     // Paper: Cooperative within ~1% of UCP and never much below
     // FairShare. At the tiny Test scale we allow a wider band but the
     // ordering must hold loosely.
-    const auto &group = trace::groupByName("G2-8");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults({"G2-8"});
+    const std::string group = "G2-8";
 
     const double fair =
-        groupWeightedSpeedup("fairshare", group, options);
+        results.weightedSpeedup({.group = group, .scheme = "fairshare"});
     const double ucp =
-        groupWeightedSpeedup("ucp", group, options);
+        results.weightedSpeedup({.group = group, .scheme = "ucp"});
     const double coop =
-        groupWeightedSpeedup("coop", group, options);
+        results.weightedSpeedup({.group = group, .scheme = "coop"});
 
     EXPECT_GT(coop, 0.85 * fair);
     EXPECT_GT(coop, 0.85 * ucp);
@@ -118,11 +123,11 @@ TEST(Integration, CooperativePerformanceIsCompetitive)
 
 TEST(Integration, TakeoverMachineryOnlyActiveUnderCooperative)
 {
-    const auto &group = trace::groupByName("G2-12");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults({"G2-12"});
+    const std::string group = "G2-12";
 
     const RunResult &fair =
-        runGroup("fairshare", group, options);
+        results.result({.group = group, .scheme = "fairshare"});
     EXPECT_EQ(fair.donor_hits + fair.donor_misses +
                   fair.recipient_hits + fair.recipient_misses,
               0u);
@@ -132,10 +137,10 @@ TEST(Integration, TakeoverMachineryOnlyActiveUnderCooperative)
 
 TEST(Integration, FlushSeriesAccountsForAllFlushes)
 {
-    const auto &group = trace::groupByName("G2-12");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults({"G2-12"});
+    const std::string group = "G2-12";
     const RunResult &coop =
-        runGroup("coop", group, options);
+        results.result({.group = group, .scheme = "coop"});
 
     std::uint64_t series_total = 0;
     for (const std::uint64_t bin : coop.flush_series) {
@@ -146,11 +151,11 @@ TEST(Integration, FlushSeriesAccountsForAllFlushes)
 
 TEST(Integration, EveryTwoCoreGroupRunsUnderEveryScheme)
 {
-    const RunOptions options = testOptions();
-    for (const auto &group : trace::twoCoreGroups()) {
-        for (const char *scheme :
-             {"unmanaged", "fairshare", "cpe", "ucp", "coop"}) {
-            const RunResult &r = runGroup(scheme, group, options);
+    const api::ExperimentResults results = testResults({"G2-*"});
+    for (const auto &group : results.groups()) {
+        for (const std::string &scheme : results.spec().schemes) {
+            const RunResult &r =
+                results.result({.group = group.name, .scheme = scheme});
             ASSERT_EQ(r.apps.size(), 2u) << group.name;
             EXPECT_GT(r.apps[0].ipc, 0.0)
                 << group.name << " " << scheme;
@@ -160,11 +165,14 @@ TEST(Integration, EveryTwoCoreGroupRunsUnderEveryScheme)
 
 TEST(Integration, FourCoreGroupsRunUnderCooperative)
 {
-    const RunOptions options = testOptions();
-    for (const char *name : {"G4-1", "G4-5", "G4-11"}) {
-        const auto &group = trace::groupByName(name);
-        const RunResult &r =
-            runGroup("coop", group, options);
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.with_solo = false;
+    spec.groups = {"G4-1", "G4-5", "G4-11"};
+    spec.scale = "test";
+    const api::ExperimentResults results = api::runExperiment(spec);
+    for (const auto &group : results.groups()) {
+        const RunResult &r = results.result({.group = group.name});
         ASSERT_EQ(r.apps.size(), 4u);
         EXPECT_LE(r.avg_ways_probed, 16.0);
         EXPECT_GT(r.avg_ways_probed, 0.0);
@@ -175,9 +183,9 @@ TEST(Integration, HighMpkiAppsMeasureHigherMpki)
 {
     // lbm (Table 3: 20.1) must measure far above povray (0.1) in the
     // same run.
-    const auto &group = trace::groupByName("G2-4");
+    const api::ExperimentResults results = testResults({"G2-4"});
     const RunResult &r =
-        runGroup("fairshare", group, testOptions());
+        results.result({.group = "G2-4", .scheme = "fairshare"});
     EXPECT_GT(r.apps[0].mpki, 5.0);  // lbm
     EXPECT_LT(r.apps[1].mpki, 2.0);  // povray
     EXPECT_GT(r.apps[0].mpki, 10.0 * r.apps[1].mpki);
@@ -185,9 +193,9 @@ TEST(Integration, HighMpkiAppsMeasureHigherMpki)
 
 TEST(Integration, DramTrafficConsistent)
 {
-    const auto &group = trace::groupByName("G2-8");
+    const api::ExperimentResults results = testResults({"G2-8"});
     const RunResult &r =
-        runGroup("coop", group, testOptions());
+        results.result({.group = "G2-8", .scheme = "coop"});
     // Every LLC miss becomes a DRAM access (reads + writes >= misses
     // modulo warm-up reset boundary effects).
     std::uint64_t misses = 0;

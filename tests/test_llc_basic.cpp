@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.hpp"
 #include "llc/schemes.hpp"
 
 using namespace coopsim;
@@ -306,24 +307,30 @@ TEST(DynamicCpeLlc, StableDemandMeansNoReflush)
 // ---------------------------------------------------------------------------
 // Factory
 
-TEST(LlcFactory, BuildsEveryScheme)
+TEST(LlcFactory, RegistryBuildsEveryBuiltinScheme)
 {
+    // The scheme registry is the only scheme identity: each built-in
+    // name must construct its own LLC class.
     mem::DramModel dram;
-    for (const Scheme s :
-         {Scheme::Unmanaged, Scheme::FairShare, Scheme::Ucp,
-          Scheme::DynamicCpe, Scheme::Cooperative}) {
-        const auto llc = makeLlc(s, tinyConfig(), dram);
-        ASSERT_NE(llc, nullptr);
-        EXPECT_EQ(llc->scheme(), s);
-        EXPECT_STREQ(schemeName(llc->scheme()), schemeName(s));
-    }
+    const auto built = [&dram](const char *name) {
+        return api::makeLlcByName(name, tinyConfig(), dram);
+    };
+    EXPECT_NE(dynamic_cast<UnmanagedLlc *>(built("unmanaged").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<FairShareLlc *>(built("fairshare").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<UcpLlc *>(built("ucp").get()), nullptr);
+    EXPECT_NE(dynamic_cast<DynamicCpeLlc *>(built("cpe").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<CooperativeLlc *>(built("coop").get()),
+              nullptr);
 }
 
-TEST(LlcFactory, SchemeNamesMatchPaperLegends)
+TEST(LlcFactory, SchemeLabelsMatchPaperLegends)
 {
-    EXPECT_STREQ(schemeName(Scheme::Unmanaged), "Unmanaged");
-    EXPECT_STREQ(schemeName(Scheme::FairShare), "FairShare");
-    EXPECT_STREQ(schemeName(Scheme::Ucp), "UCP");
-    EXPECT_STREQ(schemeName(Scheme::DynamicCpe), "DynamicCPE");
-    EXPECT_STREQ(schemeName(Scheme::Cooperative), "Cooperative");
+    EXPECT_EQ(api::schemeLabel("unmanaged"), "Unmanaged");
+    EXPECT_EQ(api::schemeLabel("fairshare"), "FairShare");
+    EXPECT_EQ(api::schemeLabel("ucp"), "UCP");
+    EXPECT_EQ(api::schemeLabel("cpe"), "DynamicCPE");
+    EXPECT_EQ(api::schemeLabel("coop"), "Cooperative");
 }

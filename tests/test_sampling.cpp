@@ -29,7 +29,6 @@
 #include <coopsim/experiment.hpp>
 
 #include "sampling/sampling.hpp"
-#include "sim/runner.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -39,6 +38,15 @@ using namespace coopsim::sim;
 
 namespace
 {
+
+/** The test-scale spec single runs take their unset axes from. */
+api::ExperimentSpec
+testSpec()
+{
+    api::ExperimentSpec spec;
+    spec.scale = "test";
+    return spec;
+}
 
 /** The fig05-representative sweep (same shape as test_banked's). */
 api::ExperimentSpec
@@ -155,14 +163,8 @@ TEST(Sampling, SampledSpeedupsFallInsideTheirReportedCi)
 
 TEST(Sampling, SampledRunsCarryWindowsAndPerAppCis)
 {
-    RunKey key;
-    key.scheme = "coop";
-    key.name = "G2-1";
-    key.num_cores = 2;
-    key.scale = RunScale::Test;
-    key.sampling = sampling::Mode::SetOp;
-
-    const RunResult result = executeRun(key);
+    const RunResult result = executeRun(api::groupKey(
+        testSpec(), {.group = "G2-1", .sampling = "setop"}));
     EXPECT_GT(result.sample_windows, 0u);
     ASSERT_EQ(result.apps.size(), 2u);
     for (const AppResult &app : result.apps) {
@@ -179,13 +181,8 @@ TEST(Sampling, SampledRunsCarryWindowsAndPerAppCis)
 
 TEST(Sampling, ResultLineCiFieldsRoundTrip)
 {
-    RunKey key;
-    key.scheme = "ucp";
-    key.name = "G2-3";
-    key.num_cores = 2;
-    key.scale = RunScale::Test;
-    key.sampling = sampling::Mode::Set;
-    const RunResult result = executeRun(key);
+    const RunResult result = executeRun(api::groupKey(
+        testSpec(), {.group = "G2-3", .scheme = "ucp", .sampling = "set"}));
     ASSERT_GT(result.sample_windows, 0u);
 
     const std::string line = store::formatResult(result);
@@ -204,12 +201,8 @@ TEST(Sampling, LegacyResultLinesLoadWithZeroCi)
 {
     // A pre-sampling line (no samp_ trailer) must parse, reporting no
     // windows and exact (zero) CIs.
-    RunKey key;
-    key.scheme = "coop";
-    key.name = "G2-1";
-    key.num_cores = 2;
-    key.scale = RunScale::Test;
-    const std::string line = store::formatResult(executeRun(key));
+    const std::string line = store::formatResult(
+        executeRun(api::groupKey(testSpec(), {.group = "G2-1"})));
     ASSERT_EQ(line.find("samp_windows"), std::string::npos);
 
     RunResult parsed;
@@ -222,13 +215,8 @@ TEST(Sampling, LegacyResultLinesLoadWithZeroCi)
 
 TEST(Sampling, MalformedCiListsAreRejected)
 {
-    RunKey key;
-    key.scheme = "coop";
-    key.name = "G2-1";
-    key.num_cores = 2;
-    key.scale = RunScale::Test;
-    key.sampling = sampling::Mode::Set;
-    const std::string line = store::formatResult(executeRun(key));
+    const std::string line = store::formatResult(executeRun(api::groupKey(
+        testSpec(), {.group = "G2-1", .sampling = "set"})));
 
     RunResult parsed;
     // One CI entry per app is mandatory: drop the second app's entry.
@@ -245,15 +233,12 @@ TEST(Sampling, MalformedCiListsAreRejected)
 
 TEST(Sampling, SampledRunKeysRoundTrip)
 {
-    using sampling::Mode;
-    for (const Mode mode : {Mode::Set, Mode::Op, Mode::SetOp}) {
-        RunKey key;
-        key.scheme = "coop";
-        key.name = "G4-2";
-        key.num_cores = 4;
-        key.sampling = mode;
-        key.set_sample_period = sampling::setSampled(mode) ? 8 : 0;
-        key.op_sample_windows = 16;
+    api::ExperimentSpec spec;
+    spec.set_sample_period = 8;
+    spec.op_sample_windows = 16;
+    for (const char *mode : {"set", "op", "setop"}) {
+        const RunKey key =
+            api::groupKey(spec, {.group = "G4-2", .sampling = mode});
         const std::string line = api::formatRunKey(key);
         EXPECT_NE(line.find("sampling="), std::string::npos) << line;
         EXPECT_EQ(api::parseRunKey(line), key) << line;
@@ -262,10 +247,7 @@ TEST(Sampling, SampledRunKeysRoundTrip)
 
 TEST(Sampling, PreSamplingKeyLinesParseAsExact)
 {
-    RunKey key;
-    key.scheme = "coop";
-    key.name = "G2-1";
-    key.num_cores = 2;
+    const RunKey key = api::groupKey(api::ExperimentSpec{}, {.group = "G2-1"});
     const std::string line = api::formatRunKey(key);
     ASSERT_EQ(line.find("sampling="), std::string::npos) << line;
 

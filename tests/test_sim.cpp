@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the simulation driver: configurations, metrics, runner.
+ * Tests for the simulation driver: configurations, metrics, memoised
+ * runs through the experiment API.
  */
 
 #include <gtest/gtest.h>
 
-#include "api/cli.hpp"
-#include "sim/runner.hpp"
+#include <coopsim/experiment.hpp>
+
+#include "sim/metrics.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -83,7 +85,7 @@ TEST(Metrics, Normalisation)
     EXPECT_DOUBLE_EQ(out[1], 2.0);
 }
 
-TEST(Runner, ParseCliScaleFlags)
+TEST(Cli, ParseCliScaleFlags)
 {
     const char *full[] = {"bench", "--full"};
     EXPECT_EQ(api::parseCli(2, const_cast<char **>(full),
@@ -102,38 +104,53 @@ TEST(Runner, ParseCliScaleFlags)
               RunScale::Bench);
 }
 
-TEST(Runner, MemoisesIdenticalRuns)
+namespace
 {
-    clearRunCache();
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const auto &group = trace::groupByName("G2-10");
-    const RunResult &a = runGroup("fairshare", group, options);
-    const RunResult &b = runGroup("fairshare", group, options);
+
+/** Test-scale results view of coop and fairshare on G2-10 at two
+ *  thresholds, with solo baselines. */
+api::ExperimentResults
+testResults()
+{
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.schemes = {"fairshare", "coop"};
+    spec.groups = {"G2-10"};
+    spec.thresholds = {0.05, 0.2};
+    spec.scale = "test";
+    return api::runExperiment(spec);
+}
+
+} // namespace
+
+TEST(Experiment, MemoisesIdenticalRuns)
+{
+    const api::ExperimentResults results = testResults();
+    const api::Cell cell = {.group = "G2-10", .scheme = "fairshare"};
+    const RunResult &a = results.result(cell);
+    const RunResult &b = results.result(cell);
     EXPECT_EQ(&a, &b); // same cached object
 }
 
-TEST(Runner, DistinctOptionsAreDistinctRuns)
+TEST(Experiment, DistinctAxisValuesAreDistinctRuns)
 {
-    clearRunCache();
-    RunOptions a;
-    a.scale = RunScale::Test;
-    RunOptions b = a;
-    b.threshold = 0.2;
-    const auto &group = trace::groupByName("G2-10");
-    const RunResult &ra = runGroup("coop", group, a);
-    const RunResult &rb = runGroup("coop", group, b);
+    const api::ExperimentResults results = testResults();
+    const RunResult &ra =
+        results.result({.group = "G2-10", .scheme = "coop"});
+    const RunResult &rb = results.result(
+        {.group = "G2-10", .scheme = "coop", .threshold = 0.2});
     EXPECT_NE(&ra, &rb);
 }
 
-TEST(Runner, SoloIpcIsPositiveAndCached)
+TEST(Experiment, SoloIpcIsPositiveAndSharedAcrossThresholds)
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const double ipc = soloIpc("h264ref", 2, options);
+    const api::ExperimentResults results = testResults();
+    const double ipc = results.soloIpc("sjeng", 2);
     EXPECT_GT(ipc, 0.0);
     EXPECT_LE(ipc, 4.0); // bounded by the issue width
-    EXPECT_DOUBLE_EQ(soloIpc("h264ref", 2, options), ipc);
+    // A threshold sweep reuses the one memoised solo run.
+    EXPECT_EQ(&results.soloResult("sjeng", 2),
+              &results.soloResult("sjeng", 2, {.threshold = 0.2}));
 }
 
 TEST(System, RunProducesConsistentResults)

@@ -25,8 +25,6 @@
 
 #include <coopsim/experiment.hpp>
 
-#include "sim/runner.hpp"
-
 using namespace coopsim;
 using namespace coopsim::store;
 
@@ -123,15 +121,10 @@ expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
 sim::RunKey
 sampleKey(unsigned n)
 {
-    sim::RunKey key;
-    key.kind = sim::RunKey::Kind::Group;
-    key.scheme = "coop";
-    key.name = "G2-" + std::to_string(1 + n % 14);
-    key.num_cores = 2;
-    key.scale = sim::RunScale::Test;
-    key.threshold = 0.05;
-    key.seed = 42 + n;
-    return key;
+    api::ExperimentSpec spec;
+    spec.scale = "test";
+    return api::groupKey(
+        spec, {.group = "G2-" + std::to_string(1 + n % 14), .seed = 42 + n});
 }
 
 /** Fresh scratch directory under the gtest temp dir. */
@@ -613,10 +606,10 @@ TEST(Shard, UnionOfShardsEqualsFullSweepExactly)
 
 TEST(ExecutorStore, StoredKeysAreServedWithoutStartingThePool)
 {
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    const sim::RunKey key = sim::groupKey(
-        "fairshare", trace::groupByName("G2-10"), options);
+    api::ExperimentSpec spec;
+    spec.scale = "test";
+    const sim::RunKey key =
+        api::groupKey(spec, {.group = "G2-10", .scheme = "fairshare"});
 
     // Precompute the result serially and plant it in a store.
     const sim::RunResult direct = sim::executeRun(key);

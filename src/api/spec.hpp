@@ -119,9 +119,9 @@ struct ExperimentSpec
 /**
  * Addresses one run of an experiment by registry names: any field
  * left empty is taken from the spec (the first value of the
- * corresponding axis). Every field is defaulted, so a designated
- * initialiser may name any subset: `{.group = "G2-3", .scheme =
- * "ucp"}`.
+ * corresponding axis). Every field has a default member initialiser,
+ * so a designated initialiser may name any subset, `{.group = "G2-3",
+ * .scheme = "ucp"}`, without tripping -Wmissing-field-initializers.
  */
 struct Cell
 {

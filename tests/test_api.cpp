@@ -686,8 +686,7 @@ TEST(Experiment, WorkerExceptionsBecomeRunFailuresNotPoolDeaths)
     EXPECT_FALSE(recording->find(bad).has_value());
 
     // The pool is intact: a healthy run on the same executor works.
-    sim::RunKey good = bad;
-    good.scheme = "fairshare";
+    const sim::RunKey good = groupKey(tinySpec(), {.group = "G2-10"});
     const sim::RunResult &result = executor.run(good);
     EXPECT_FALSE(result.apps.empty());
     // Both tasks executed (the failed one counts as a simulation),

@@ -630,8 +630,8 @@ TEST(ExecutorStore, StoredKeysAreServedWithoutStartingThePool)
 
     // A key the store lacks still simulates (lazily starting the
     // pool) and is recorded back into the store.
-    sim::RunKey missing = key;
-    missing.seed = 7;
+    const sim::RunKey missing = api::groupKey(
+        spec, {.group = "G2-10", .scheme = "fairshare", .seed = 7});
     const sim::RunResult &fresh = executor.run(missing);
     EXPECT_FALSE(fresh.apps.empty());
     EXPECT_EQ(executor.activeWorkers(), 2u);

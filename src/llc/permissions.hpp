@@ -21,6 +21,7 @@
 #ifndef COOPSIM_LLC_PERMISSIONS_HPP
 #define COOPSIM_LLC_PERMISSIONS_HPP
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -66,7 +67,7 @@ class PermissionFile
     void powerOff(WayId way);
 
     /** True when the way is powered. */
-    bool powered(WayId way) const { return powered_[way]; }
+    bool powered(WayId way) const { return (powered_mask_ >> way) & 1u; }
 
     bool canRead(WayId way, CoreId core) const
     {
@@ -119,8 +120,11 @@ class PermissionFile
     /** Mask of powered-off ways. */
     std::uint64_t offMask() const;
 
-    /** Number of powered ways. */
-    std::uint32_t poweredCount() const;
+    /** Number of powered ways; read on every LLC access for leakage. */
+    std::uint32_t poweredCount() const
+    {
+        return static_cast<std::uint32_t>(std::popcount(powered_mask_));
+    }
 
     std::uint32_t ways() const
     {
@@ -141,7 +145,7 @@ class PermissionFile
     std::uint32_t cores_;
     std::vector<CoreMask> rap_;
     std::vector<CoreMask> wap_;
-    std::vector<bool> powered_;
+    std::uint64_t powered_mask_ = 0; // bit w = way w is powered
     std::vector<std::uint64_t> read_mask_;
     std::vector<std::uint64_t> write_mask_;
     std::vector<std::uint64_t> donating_mask_;

@@ -1,6 +1,7 @@
 #include "llc/schemes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/logging.hpp"
@@ -192,8 +193,8 @@ UcpLlc::pickVictim(CoreId core, SetId set)
         }
     }
 
-    // Per-core occupancy of this set.
-    std::vector<std::uint32_t> counts(config_.num_cores, 0);
+    // Per-core occupancy of this set (cores <= ways <= 64).
+    std::array<std::uint32_t, 64> counts{};
     for (std::uint32_t w = 0; w < array_.ways(); ++w) {
         const CoreId owner = array_.ownerAt(set, w);
         if (array_.validAt(set, w) && owner < config_.num_cores) {

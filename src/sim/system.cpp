@@ -274,29 +274,30 @@ System::run()
             ? std::max<InstCount>(
                   1, config_.warmup_insts / sampling_.set_period)
             : config_.warmup_insts;
-    bool warm = warmup_insts == 0;
-    while (!warm) {
+    // Only the stepped core's retired count moves, so a running count
+    // of cold cores tracks warm-up without scanning every core per
+    // quantum.
+    std::uint32_t cold = 0;
+    for (std::uint32_t c = 0; c < n; ++c) {
+        cold += cores_[c]->retired() < warmup_insts ? 1 : 0;
+    }
+    while (cold > 0) {
         const std::uint32_t c = min_core();
+        const bool c_was_cold = cores_[c]->retired() < warmup_insts;
         if (batched) {
-            // Only c's warm status can change inside its quantum.
             // While any *other* core is still cold the per-op loop
             // cannot exit, so the quantum may run to its clock bound;
             // once every other core is warm it must stop exactly at
             // the step where c crosses the threshold — the per-op
             // loop's exit point.
-            bool others_warm = true;
-            for (std::uint32_t o = 0; o < n && others_warm; ++o) {
-                others_warm =
-                    o == c || cores_[o]->retired() >= warmup_insts;
-            }
+            const bool others_warm = cold - (c_was_cold ? 1 : 0) == 0;
             step_quantum(c, quantum_bound(c),
                          others_warm ? warmup_insts : kNoInstBound);
         } else {
             step(c);
         }
-        warm = true;
-        for (std::uint32_t o = 0; o < n; ++o) {
-            warm = warm && cores_[o]->retired() >= warmup_insts;
+        if (c_was_cold && cores_[c]->retired() >= warmup_insts) {
+            --cold;
         }
     }
     Cycle now = 0;

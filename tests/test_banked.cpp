@@ -13,7 +13,9 @@
  *  - the banks / slice-hash spec axes round-trip through
  *    formatSpec/parseSpec and formatRunKey/parseRunKey, and
  *    pre-banking key and result lines still load;
- *  - bank-conflict counters surface in RunResult and its store line.
+ *  - bank-conflict counters surface in RunResult and its store line;
+ *  - coreStats(c) merges core c fresh on every call, in any query
+ *    order.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 
 #include <coopsim/experiment.hpp>
 
+#include "llc/banked.hpp"
 #include "sim/executor.hpp"
 
 using namespace coopsim;
@@ -137,6 +140,64 @@ TEST(Banked, NonPowerOfTwoBankCountsAreFatalWithDiagnostics)
             << message;
     }
     setThrowOnFatal(false);
+}
+
+TEST(Banked, CoreStatsMergeEachQueriedCoreFresh)
+{
+    // coreStats(c) merges core c over the banks on each call; whatever
+    // order the cores are queried in, between rounds of new traffic,
+    // each answer must equal the per-bank sum for that core.
+    SystemConfig config = makeSystemConfig(32, "coop", RunScale::Test);
+    llc::LlcConfig lc = config.llc;
+    lc.num_cores = 32;
+    ASSERT_GT(lc.banks, 1u);
+    mem::DramModel dram(config.dram);
+    llc::BankedLlc banked(lc, dram,
+                          api::schemeRegistry().get("coop").factory);
+
+    Rng rng(0xba4cedu);
+    Cycle now = 0;
+    for (int round = 0; round < 6; ++round) {
+        for (int i = 0; i < 4000; ++i) {
+            const auto core =
+                static_cast<CoreId>(rng.nextBelow(lc.num_cores));
+            const Addr addr = rng.nextBelow(1u << 22) * 64;
+            const AccessType type = rng.nextBelow(4) == 0
+                                        ? AccessType::Write
+                                        : AccessType::Read;
+            now += 3;
+            banked.access(core, addr, type, now);
+        }
+        // Interleaved order: a stride walk that differs per round,
+        // and every other core queried twice.
+        for (std::uint32_t k = 0; k < lc.num_cores; ++k) {
+            const auto c = static_cast<CoreId>(
+                (k * (2 * round + 5) + round) % lc.num_cores);
+            for (std::uint32_t repeat = 0; repeat <= c % 2; ++repeat) {
+                const llc::CoreLlcStats &merged = banked.coreStats(c);
+                std::uint64_t acc = 0, hits = 0, misses = 0, wbs = 0,
+                              bypasses = 0;
+                for (std::uint32_t b = 0; b < banked.banks(); ++b) {
+                    const llc::CoreLlcStats &bs =
+                        banked.bank(b).coreStats(c);
+                    acc += bs.accesses.value();
+                    hits += bs.hits.value();
+                    misses += bs.misses.value();
+                    wbs += bs.writebacks.value();
+                    bypasses += bs.bypasses.value();
+                }
+                EXPECT_EQ(merged.accesses.value(), acc)
+                    << "round " << round << " core " << c;
+                EXPECT_EQ(merged.hits.value(), hits) << "core " << c;
+                EXPECT_EQ(merged.misses.value(), misses) << "core " << c;
+                EXPECT_EQ(merged.writebacks.value(), wbs)
+                    << "core " << c;
+                EXPECT_EQ(merged.bypasses.value(), bypasses)
+                    << "core " << c;
+            }
+        }
+    }
+    EXPECT_GT(banked.coreStats(0).accesses.value(), 0u);
 }
 
 TEST(Banked, PerSliceWaysStillCoverTheSharingCores)

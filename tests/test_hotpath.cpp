@@ -249,6 +249,26 @@ TEST(BatchedDriver, BitIdenticalAcrossCoreCountsAndPartitioners)
     }
 }
 
+TEST(BatchedDriver, BitIdenticalOnBankedManyCoreRows)
+{
+    // The 32- and 64-core rows run banked. Small quotas keep the runs
+    // short while the warmup handoff still counts cold cores down
+    // through every core.
+    for (const std::uint32_t n : {32u, 64u}) {
+        SystemConfig config =
+            propertyConfig(n, partition::Partitioner::Lookahead, 6'000);
+        config.insts_per_app = 12'000;
+        ASSERT_GT(config.llc.banks, 1u) << "n=" << n;
+        double avg_quantum = 0.0;
+        const std::string batched =
+            runLine(config, n, DriverMode::Batched, &avg_quantum);
+        EXPECT_EQ(batched, runLine(config, n, DriverMode::PerOp))
+            << "n=" << n;
+        EXPECT_GT(avg_quantum, 1.0)
+            << "n=" << n << ": the batched driver never batched";
+    }
+}
+
 TEST(BatchedDriver, BitIdenticalAtFullTestScale)
 {
     // Full Test-scale two- and four-core runs (the paper's

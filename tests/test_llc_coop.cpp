@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "llc/permissions.hpp"
 #include "llc/schemes.hpp"
 #include "llc/takeover.hpp"
@@ -93,6 +96,76 @@ TEST(Permissions, MasksReflectRoles)
     EXPECT_EQ(perms.receivingMask(0), 0b0100u);
     EXPECT_EQ(perms.donatingMask(0), 0u);
     EXPECT_EQ(perms.receivingMask(1), 0u);
+}
+
+TEST(Permissions, PoweredViewsTrackRandomLegalSequences)
+{
+    // Random legal register sequences; after every step the powered
+    // views (poweredCount, offMask, powered) must agree with a per-way
+    // recount from state() and with a shadow model of the power state.
+    struct Shape
+    {
+        std::uint32_t ways;
+        std::uint32_t cores;
+    };
+    for (const Shape shape : {Shape{64, 64}, Shape{37, 5}, Shape{8, 2}}) {
+        PermissionFile perms(shape.ways, shape.cores);
+        std::vector<bool> shadow(shape.ways, false);
+        std::mt19937_64 rng(shape.ways * 131 + shape.cores);
+        auto pick_core = [&] {
+            return static_cast<CoreId>(rng() % shape.cores);
+        };
+        for (int step = 0; step < 4000; ++step) {
+            const auto w = static_cast<WayId>(rng() % shape.ways);
+            const WayState st = perms.state(w);
+            switch (rng() % 4) {
+            case 0:
+                perms.setOwner(w, pick_core());
+                shadow[w] = true;
+                break;
+            case 1:
+                if (st == WayState::Steady) {
+                    const CoreId donor = perms.writerOf(w);
+                    if (rng() % 2 == 0 || shape.cores == 1) {
+                        perms.beginDrain(w, donor);
+                    } else {
+                        const CoreId recipient = static_cast<CoreId>(
+                            (donor + 1 + rng() % (shape.cores - 1)) %
+                            shape.cores);
+                        perms.beginTransfer(w, donor, recipient);
+                    }
+                }
+                break;
+            case 2:
+                if (perms.donorOf(w) != kNoCore) {
+                    perms.clearRead(w, perms.donorOf(w));
+                }
+                break;
+            default:
+                // Legal once no core holds RAP or WAP on the way.
+                if (perms.donorOf(w) == kNoCore &&
+                    perms.writerOf(w) == kNoCore) {
+                    perms.powerOff(w);
+                    shadow[w] = false;
+                }
+                break;
+            }
+            perms.checkInvariants();
+
+            std::uint32_t count = 0;
+            std::uint64_t off = 0;
+            for (std::uint32_t v = 0; v < shape.ways; ++v) {
+                const bool on = perms.state(v) != WayState::Off;
+                ASSERT_EQ(on, static_cast<bool>(shadow[v]))
+                    << "way " << v << " step " << step;
+                ASSERT_EQ(perms.powered(v), on);
+                count += on ? 1 : 0;
+                off |= on ? 0 : std::uint64_t{1} << v;
+            }
+            ASSERT_EQ(perms.poweredCount(), count) << "step " << step;
+            ASSERT_EQ(perms.offMask(), off) << "step " << step;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

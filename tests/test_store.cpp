@@ -12,13 +12,16 @@
  *    sweep (disjoint, union == full key list);
  *  - the executor store hook: stored keys are served without
  *    starting the pool or running a simulation (run-count stats),
- *    and completed simulations are recorded back into the store.
+ *    and completed simulations are recorded back into the store;
+ *  - crc32() agrees with a bytewise reference loop on random
+ *    buffers at unaligned offsets.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -343,6 +346,57 @@ TEST(StoreCrc, ChecksumMatchesKnownVectorsAndSuffixRoundTrips)
     std::string bad = line;
     bad.back() = bad.back() == '0' ? '1' : '0';
     EXPECT_EQ(splitCrcSuffix(bad, split), LineCheck::Mismatch);
+}
+
+namespace
+{
+
+/** Differential oracle for the slicing-by-8 crc32(): the plain
+ *  bytewise CRC-32/IEEE loop, one table lookup per byte. */
+std::uint32_t
+bytewiseCrc32(const unsigned char *data, std::size_t len)
+{
+    std::uint32_t table[256];
+    for (std::uint32_t n = 0; n < 256; ++n) {
+        std::uint32_t c = n;
+        for (int bit = 0; bit < 8; ++bit) {
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        }
+        table[n] = c;
+    }
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    }
+    return crc ^ 0xffffffffu;
+}
+
+} // namespace
+
+TEST(StoreCrc, SlicedChecksumMatchesBytewiseOracle)
+{
+    // Random buffers of 0-70,000 bytes read from unaligned start
+    // offsets, plus every length around the 8-byte block boundary.
+    std::mt19937_64 rng(0xc0095u);
+    std::vector<unsigned char> buf(70'000 + 8);
+    for (unsigned char &b : buf) {
+        b = static_cast<unsigned char>(rng());
+    }
+    auto check = [&](std::size_t offset, std::size_t len) {
+        const unsigned char *p = buf.data() + offset;
+        EXPECT_EQ(crc32(reinterpret_cast<const char *>(p), len),
+                  bytewiseCrc32(p, len))
+            << "offset " << offset << " len " << len;
+    };
+    for (std::size_t len = 0; len <= 33; ++len) {
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+            check(offset, len);
+        }
+    }
+    for (int i = 0; i < 200; ++i) {
+        check(rng() % 8, rng() % 70'001);
+    }
+    check(3, 70'000);
 }
 
 TEST(StoreCrc, SaveEmitsCrcLinesAndRoundTripsByteIdentically)

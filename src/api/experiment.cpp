@@ -43,12 +43,11 @@ registerMetric(const std::string &name, MetricFn fn)
 ExperimentResults::ExperimentResults(ExperimentSpec spec)
     : spec_(std::move(spec))
 {
-    validateSpec(spec_);
+    groups_ = validateSpecGroups(spec_);
     if (spec_.layout != "none") {
         metricRegistry().get(spec_.metric);
     }
-    groups_ = resolveSpecGroups(spec_);
-    keys_ = expandSpec(spec_);
+    keys_ = expandSpec(spec_, groups_);
     sim::RunExecutor::instance().prefetch(keys_);
 }
 

@@ -109,6 +109,27 @@ commonKey(const ExperimentSpec &spec, const Cell &cell)
     return key;
 }
 
+/** Appends the groups @p pattern resolves to that pass the spec's
+ *  cores filter (fatal on an unknown group or glob). */
+void
+resolveGroupsInto(const ExperimentSpec &spec, const std::string &pattern,
+                  std::vector<trace::WorkloadGroup> &groups)
+{
+    for (trace::WorkloadGroup &group : resolveWorkloads(pattern)) {
+        if (!spec.cores.empty()) {
+            const auto size = static_cast<std::uint32_t>(group.apps.size());
+            bool keep = false;
+            for (const std::uint32_t cores : spec.cores) {
+                keep = keep || cores == size;
+            }
+            if (!keep) {
+                continue;
+            }
+        }
+        groups.push_back(std::move(group));
+    }
+}
+
 } // namespace
 
 sim::RunKey
@@ -156,6 +177,12 @@ soloKey(const ExperimentSpec &spec, const std::string &app,
 void
 validateSpec(const ExperimentSpec &spec)
 {
+    validateSpecGroups(spec);
+}
+
+std::vector<trace::WorkloadGroup>
+validateSpecGroups(const ExperimentSpec &spec)
+{
     static const char *kLayouts[] = {
         "schemes",  "thresholds", "partitioners", "takeover",
         "transfers", "bandwidth", "none",
@@ -176,8 +203,9 @@ validateSpec(const ExperimentSpec &spec)
     for (const std::string &scheme : spec.schemes) {
         schemeRegistry().get(scheme);
     }
+    std::vector<trace::WorkloadGroup> groups;
     for (const std::string &pattern : spec.groups) {
-        resolveWorkloads(pattern);
+        resolveGroupsInto(spec, pattern, groups);
     }
     for (const std::string &mode : spec.threshold_modes) {
         thresholdModeRegistry().get(mode);
@@ -206,8 +234,7 @@ validateSpec(const ExperimentSpec &spec)
     for (const std::string &app : resolveSolos(spec)) {
         trace::specProfile(app); // fatal on an unknown benchmark
     }
-    if (!spec.groups.empty() && !spec.cores.empty() &&
-        resolveSpecGroups(spec).empty()) {
+    if (!spec.groups.empty() && !spec.cores.empty() && groups.empty()) {
         COOPSIM_FATAL("the cores filter leaves no workload group (the "
                       "groups axis resolves to none of the listed "
                       "core counts)");
@@ -253,6 +280,7 @@ validateSpec(const ExperimentSpec &spec)
     if (spec.layout == "takeover" && spec.schemes.empty()) {
         COOPSIM_FATAL("layout 'takeover' needs a scheme");
     }
+    return groups;
 }
 
 std::vector<trace::WorkloadGroup>
@@ -260,20 +288,7 @@ resolveSpecGroups(const ExperimentSpec &spec)
 {
     std::vector<trace::WorkloadGroup> groups;
     for (const std::string &pattern : spec.groups) {
-        for (trace::WorkloadGroup &group : resolveWorkloads(pattern)) {
-            if (!spec.cores.empty()) {
-                const auto size =
-                    static_cast<std::uint32_t>(group.apps.size());
-                bool keep = false;
-                for (const std::uint32_t cores : spec.cores) {
-                    keep = keep || cores == size;
-                }
-                if (!keep) {
-                    continue;
-                }
-            }
-            groups.push_back(std::move(group));
-        }
+        resolveGroupsInto(spec, pattern, groups);
     }
     return groups;
 }
@@ -281,11 +296,14 @@ resolveSpecGroups(const ExperimentSpec &spec)
 std::vector<sim::RunKey>
 expandSpec(const ExperimentSpec &spec)
 {
-    validateSpec(spec);
+    return expandSpec(spec, validateSpecGroups(spec));
+}
 
+std::vector<sim::RunKey>
+expandSpec(const ExperimentSpec &spec,
+           const std::vector<trace::WorkloadGroup> &groups)
+{
     std::vector<sim::RunKey> keys;
-    const std::vector<trace::WorkloadGroup> groups =
-        resolveSpecGroups(spec);
 
     // Group runs: the full cross-product, groups outermost so all
     // cells of one table row are adjacent in the queue.

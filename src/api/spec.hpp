@@ -168,6 +168,11 @@ sim::RunKey soloKey(const ExperimentSpec &spec, const std::string &app,
  *  the offending name otherwise). */
 void validateSpec(const ExperimentSpec &spec);
 
+/** validateSpec() that also returns resolveSpecGroups(@p spec), from
+ *  the one resolution of the groups axis validation makes. */
+std::vector<trace::WorkloadGroup>
+validateSpecGroups(const ExperimentSpec &spec);
+
 /** The workload groups the spec's group names/globs resolve to. */
 std::vector<trace::WorkloadGroup>
 resolveSpecGroups(const ExperimentSpec &spec);
@@ -180,6 +185,12 @@ resolveSpecGroups(const ExperimentSpec &spec);
  * the explicit solos axis). Deterministic order.
  */
 std::vector<sim::RunKey> expandSpec(const ExperimentSpec &spec);
+
+/** expandSpec() over @p groups, which validateSpecGroups(@p spec)
+ *  returned: the caller has validated, so nothing is resolved twice. */
+std::vector<sim::RunKey>
+expandSpec(const ExperimentSpec &spec,
+           const std::vector<trace::WorkloadGroup> &groups);
 
 /**
  * Deterministic shard of an expanded key list: the keys at positions

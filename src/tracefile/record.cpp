@@ -67,14 +67,13 @@ makeInner(std::uint32_t c, const trace::AppProfile &profile,
 std::size_t
 recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
 {
-    api::validateSpec(spec);
+    const std::vector<trace::WorkloadGroup> groups =
+        api::validateSpecGroups(spec);
     if (spec.seeds.size() != 1) {
         COOPSIM_FATAL("--record needs a spec with exactly one seed "
                       "(a trace pins the generator seed); this spec "
                       "sweeps ", spec.seeds.size());
     }
-    const std::vector<trace::WorkloadGroup> groups =
-        api::resolveSpecGroups(spec);
     for (const trace::WorkloadGroup &group : groups) {
         if (isTraceWorkload(group.name)) {
             COOPSIM_FATAL("--record on the trace workload '", group.name,
@@ -90,7 +89,8 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
                       "': ", ec.message());
     }
 
-    const std::vector<sim::RunKey> all_keys = api::expandSpec(spec);
+    const std::vector<sim::RunKey> all_keys =
+        api::expandSpec(spec, groups);
     std::size_t files_written = 0;
 
     for (const trace::WorkloadGroup &group : groups) {

@@ -112,19 +112,15 @@ TEST(Permissions, PoweredViewsTrackRandomLegalSequences)
         PermissionFile perms(shape.ways, shape.cores);
         std::vector<bool> shadow(shape.ways, false);
         std::mt19937_64 rng(shape.ways * 131 + shape.cores);
-        auto pick_core = [&] {
-            return static_cast<CoreId>(rng() % shape.cores);
-        };
         for (int step = 0; step < 4000; ++step) {
             const auto w = static_cast<WayId>(rng() % shape.ways);
-            const WayState st = perms.state(w);
             switch (rng() % 4) {
             case 0:
-                perms.setOwner(w, pick_core());
+                perms.setOwner(w, static_cast<CoreId>(rng() % shape.cores));
                 shadow[w] = true;
                 break;
             case 1:
-                if (st == WayState::Steady) {
+                if (perms.state(w) == WayState::Steady) {
                     const CoreId donor = perms.writerOf(w);
                     if (rng() % 2 == 0 || shape.cores == 1) {
                         perms.beginDrain(w, donor);

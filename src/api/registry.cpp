@@ -185,66 +185,16 @@ samplingRegistry()
     return registry;
 }
 
-namespace
-{
-
-/** Inverse lookup over a small registry (linear; fatal if absent). */
-template <typename T>
-std::string
-keyOfValue(Registry<T> &registry, T value, const char *kind)
-{
-    for (const std::string &name : registry.names()) {
-        if (*registry.find(name) == value) {
-            return name;
-        }
-    }
-    COOPSIM_FATAL(kind, " enum value ", static_cast<int>(value),
-                  " has no registry name");
-}
-
-} // namespace
-
-std::string
-replPolicyKeyOf(cache::ReplPolicy policy)
-{
-    return keyOfValue(replPolicyRegistry(), policy,
-                      "replacement policy");
-}
-
-std::string
-gatingModeKeyOf(llc::GatingMode mode)
-{
-    return keyOfValue(gatingModeRegistry(), mode, "gating mode");
-}
-
-std::string
-thresholdModeKeyOf(partition::ThresholdMode mode)
-{
-    return keyOfValue(thresholdModeRegistry(), mode, "threshold mode");
-}
-
 std::string
 partitionerKeyOf(partition::Partitioner partitioner)
 {
-    return keyOfValue(partitionerRegistry(), partitioner, "partitioner");
+    return partitionerRegistry().nameOf(partitioner);
 }
 
 std::string
 scaleKeyOf(sim::RunScale scale)
 {
-    return keyOfValue(scaleRegistry(), scale, "scale");
-}
-
-std::string
-sliceHashKeyOf(llc::SliceHashKind kind)
-{
-    return keyOfValue(sliceHashRegistry(), kind, "slice hash");
-}
-
-std::string
-samplingKeyOf(sampling::Mode mode)
-{
-    return keyOfValue(samplingRegistry(), mode, "sampling mode");
+    return scaleRegistry().nameOf(scale);
 }
 
 // ---------------------------------------------------------------------------

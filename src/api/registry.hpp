@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,8 +49,10 @@ namespace coopsim::api
 
 /**
  * Ordered name -> value table. Entries keep registration order (so
- * names() is deterministic and tables print in legend order); lookups
- * are linear — every registry here holds a handful of entries.
+ * names() is deterministic and tables print in legend order); a
+ * name -> index map beside them makes lookups by name constant-time
+ * (the workload registry holds over fifty groups and is consulted
+ * per rendered cell).
  */
 template <typename T>
 class Registry
@@ -61,7 +64,7 @@ class Registry
     /** Registers @p value under @p name; fatal on a duplicate name. */
     void add(const std::string &name, T value)
     {
-        if (find(name) != nullptr) {
+        if (!index_.emplace(name, entries_.size()).second) {
             COOPSIM_FATAL("duplicate ", kind_, " registration '", name,
                           "'");
         }
@@ -71,12 +74,8 @@ class Registry
     /** The entry registered as @p name, or nullptr. */
     const T *find(const std::string &name) const
     {
-        for (const auto &[key, value] : entries_) {
-            if (key == name) {
-                return &value;
-            }
-        }
-        return nullptr;
+        const auto it = index_.find(name);
+        return it == index_.end() ? nullptr : &entries_[it->second].second;
     }
 
     /** The entry registered as @p name; fatal (listing the known
@@ -100,6 +99,20 @@ class Registry
         return find(name) != nullptr;
     }
 
+    /** The name @p value is registered under (the inverse lookup, for
+     *  key lines); fatal when no entry holds it. A linear scan: only
+     *  the enum registries, a handful of entries each, use it. */
+    const std::string &nameOf(const T &value) const
+    {
+        for (const auto &[key, entry] : entries_) {
+            if (entry == value) {
+                return key;
+            }
+        }
+        COOPSIM_FATAL(kind_, " enum value ", static_cast<int>(value),
+                      " has no registry name");
+    }
+
     /** Registered names, in registration order. */
     std::vector<std::string> names() const
     {
@@ -114,6 +127,7 @@ class Registry
   private:
     std::string kind_;
     std::vector<std::pair<std::string, T>> entries_;
+    std::unordered_map<std::string, std::size_t> index_;
 };
 
 // ---------------------------------------------------------------------------
@@ -171,15 +185,10 @@ Registry<llc::SliceHashKind> &sliceHashRegistry();
  *  sampling/sampling.hpp). */
 Registry<sampling::Mode> &samplingRegistry();
 
-/** Canonical names of the built-in enum values (the inverse of the
- *  registries above, for RunKey formatting). */
-std::string replPolicyKeyOf(cache::ReplPolicy policy);
-std::string gatingModeKeyOf(llc::GatingMode mode);
-std::string thresholdModeKeyOf(partition::ThresholdMode mode);
+/** Registry names of a partitioner and a scale (nameOf() of their
+ *  registries). */
 std::string partitionerKeyOf(partition::Partitioner partitioner);
 std::string scaleKeyOf(sim::RunScale scale);
-std::string sliceHashKeyOf(llc::SliceHashKind kind);
-std::string samplingKeyOf(sampling::Mode mode);
 
 // ---------------------------------------------------------------------------
 // Workloads

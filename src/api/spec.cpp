@@ -1,8 +1,14 @@
 #include "api/spec.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -15,9 +21,7 @@
 namespace coopsim::api
 {
 
-using detail::fmtDouble;
 using detail::parseDouble;
-using detail::parseUint;
 using detail::splitWords;
 
 namespace
@@ -25,28 +29,376 @@ namespace
 
 constexpr const char *kSpecMagic = "coopsim-spec v1";
 
-std::string
-joinWords(const std::vector<std::string> &words)
+// ---------------------------------------------------------------------------
+// Value codecs shared by spec lines and key-line fields
+
+template <auto Member>
+constexpr bool kNone = std::is_null_pointer_v<decltype(Member)>;
+
+/** Appends the text of @p value: a list's values space-separated, an
+ *  enum as its name in @p Registry. */
+template <auto Registry = nullptr, typename T>
+void
+put(std::string &out, const T &value)
 {
-    std::string out;
-    for (const std::string &word : words) {
-        out += out.empty() ? "" : " ";
-        out += word;
+    if constexpr (std::is_enum_v<T>) {
+        out += Registry().nameOf(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out += value;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out += value ? "on" : "off";
+    } else if constexpr (std::is_same_v<T, double>) {
+        out += detail::fmtDouble(value);
+    } else {
+        out += std::to_string(value);
     }
-    return out;
 }
 
-bool
-parseBool(const std::string &text, const char *what)
+template <auto Registry = nullptr, typename T>
+void
+put(std::string &out, const std::vector<T> &values)
 {
-    if (text == "on") {
+    const char *separator = "";
+    for (const T &value : values) {
+        out += separator;
+        separator = " ";
+        put(out, value);
+    }
+}
+
+/** Parses one word into @p value; false when it is malformed. A name
+ *  must be in @p Registry (an enum takes the value it names). NaN and
+ *  integers above the field's width are malformed: a NaN key never
+ *  equals itself, and a truncated count names another run. */
+template <auto Registry = nullptr, typename T>
+bool
+get(const std::string &text, T &value)
+{
+    if constexpr (!kNone<Registry>) {
+        const auto *named = Registry().find(text);
+        if (named == nullptr) {
+            return false;
+        }
+        if constexpr (std::is_enum_v<T>) {
+            value = *named;
+        } else {
+            value = text;
+        }
+        return true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        value = text;
+        return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        value = text == "on";
+        return value || text == "off";
+    } else if constexpr (std::is_same_v<T, double>) {
+        return detail::tryParseDouble(text, value) && !std::isnan(value);
+    } else {
+        std::uint64_t wide = 0;
+        if (!detail::tryParseUint(text, wide) ||
+            wide > std::numeric_limits<T>::max()) {
+            return false;
+        }
+        value = static_cast<T>(wide);
         return true;
     }
-    if (text == "off") {
-        return false;
+}
+
+/** Parses a spec value; fatal, naming @p noun, when it is malformed. */
+template <typename T>
+void
+parseValue(const std::string &text, const char *noun, T &value)
+{
+    if (!get(text, value)) {
+        COOPSIM_FATAL("invalid ", noun, " value '", text, "'",
+                      std::is_same_v<T, bool> ? " (expected on or off)"
+                                              : "");
     }
-    COOPSIM_FATAL("invalid ", what, " value '", text,
-                  "' (expected on or off)");
+}
+
+/** A list line replaces the whole list, one value per word. */
+template <typename T>
+void
+parseValue(const std::string &text, const char *noun,
+           std::vector<T> &values)
+{
+    std::vector<T> parsed;
+    for (const std::string &word : splitWords(text)) {
+        parseValue(word, noun, parsed.emplace_back());
+    }
+    values = std::move(parsed);
+}
+
+// ---------------------------------------------------------------------------
+// The axis table
+
+/** Key-line fields written only while one of them is off its RunKey
+ *  default, so lines written before they existed stay byte-stable. */
+enum class Omit : std::uint8_t
+{
+    Never,
+    Banking,
+    Sampling,
+};
+
+/** One ExperimentSpec line, with the Cell member of a swept axis and
+ *  the RunKey member of a key-line field; row() fills the codecs. */
+struct Field
+{
+    const char *key;
+    /** Names the value in fatal messages (the key when unset). */
+    const char *noun = nullptr;
+    /** Key-line field name and its position on the line. */
+    const char *field = nullptr;
+    std::size_t slot = 0;
+    Omit omit = Omit::Never;
+    /** The key-line value solo keys hold, or nullptr when they take the
+     *  axis from the cell or spec like group keys. */
+    const char *solo = nullptr;
+    /** Expands fastest whatever its row (seeds, as every store and
+     *  shard so far was ordered). */
+    bool innermost = false;
+
+    void (*format)(const ExperimentSpec &, std::string &) = nullptr;
+    void (*parse)(const std::string &, const char *,
+                  ExperimentSpec &) = nullptr;
+    std::vector<std::string> (*names)() = nullptr;
+    /** Sets the cell's member to the spec's @p i-th value; false past
+     *  the end. */
+    bool (*pick)(const ExperimentSpec &, std::size_t i, Cell &) = nullptr;
+    void (*build)(const Field &, const ExperimentSpec &, const Cell &,
+                  sim::RunKey &) = nullptr;
+    void (*format_key)(const sim::RunKey &, std::string &) = nullptr;
+    bool (*parse_key)(const std::string &, sim::RunKey &) = nullptr;
+    bool (*is_default)(const sim::RunKey &) = nullptr;
+};
+
+/** The value a cell sets for an axis, or nullptr. */
+const std::string *
+chosen(const std::string &name)
+{
+    return name.empty() ? nullptr : &name;
+}
+
+template <typename T>
+const T *
+chosen(const std::optional<T> &value)
+{
+    return value ? &*value : nullptr;
+}
+
+/** key.*KeyMember from the cell's value, else the spec's first. Names
+ *  resolve here, so an unknown one is fatal at key-build time rather
+ *  than in a worker thread mid-sweep. */
+template <auto SpecMember, auto CellMember, auto KeyMember, auto Registry>
+void
+buildAxis(const Field &field, const ExperimentSpec &spec, const Cell &cell,
+          sim::RunKey &key)
+{
+    const auto *value = chosen(cell.*CellMember);
+    if (value == nullptr) {
+        if ((spec.*SpecMember).empty()) {
+            COOPSIM_FATAL("cell does not specify a ", field.noun,
+                          " and the spec's ", field.noun,
+                          " axis is empty");
+        }
+        value = &(spec.*SpecMember).front();
+    }
+    if constexpr (kNone<Registry>) {
+        key.*KeyMember = *value;
+    } else if (!get<Registry>(*value, key.*KeyMember)) {
+        Registry().get(*value); // fatal, listing the known names
+    }
+}
+
+/** Completes table row @p f with the codecs of the members it names. */
+template <auto SpecMember, auto CellMember = nullptr,
+          auto KeyMember = nullptr, auto Registry = nullptr>
+constexpr Field
+row(Field f)
+{
+    f.noun = f.noun != nullptr ? f.noun : f.key;
+    f.format = [](const ExperimentSpec &spec, std::string &out) {
+        put(out, spec.*SpecMember);
+    };
+    f.parse = [](const std::string &text, const char *noun,
+                 ExperimentSpec &spec) {
+        parseValue(text, noun, spec.*SpecMember);
+    };
+    if constexpr (!kNone<Registry>) {
+        f.names = [] { return Registry().names(); };
+    }
+    if constexpr (!kNone<CellMember>) {
+        f.pick = [](const ExperimentSpec &spec, std::size_t i, Cell &cell) {
+            const auto &axis = spec.*SpecMember;
+            if (i < axis.size()) {
+                cell.*CellMember = axis[i];
+            }
+            return i < axis.size();
+        };
+        f.build = buildAxis<SpecMember, CellMember, KeyMember, Registry>;
+    }
+    if constexpr (!kNone<KeyMember>) {
+        f.format_key = [](const sim::RunKey &key, std::string &out) {
+            put<Registry>(out, key.*KeyMember);
+        };
+        f.parse_key = [](const std::string &text, sim::RunKey &key) {
+            return get<Registry>(text, key.*KeyMember);
+        };
+        f.is_default = [](const sim::RunKey &key) {
+            return key.*KeyMember == sim::RunKey{}.*KeyMember;
+        };
+    }
+    return f;
+}
+
+using Spec = ExperimentSpec;
+using Key = sim::RunKey;
+
+/**
+ * Every spec line, in spec-text order. A new axis is one row here plus
+ * the members it names; a new key-line field takes the next slot and
+ * an Omit group, so existing key lines stay byte-stable. Scale and the
+ * sampling knobs are set by buildKey(), name and core count by
+ * groupKey() and soloKey().
+ */
+constexpr Field kFields[] = {
+    row<&Spec::name>({.key = "name"}),
+    row<&Spec::title>({.key = "title"}),
+    row<&Spec::layout>({.key = "layout"}),
+    row<&Spec::metric>({.key = "metric"}),
+    row<&Spec::baseline>({.key = "baseline"}),
+    row<&Spec::higher_better>({.key = "higher_better"}),
+    row<&Spec::with_solo>({.key = "with_solo"}),
+    row<&Spec::schemes, &Cell::scheme, &Key::scheme, schemeRegistry>(
+        {.key = "schemes", .noun = "scheme", .field = "scheme", .slot = 0,
+         .solo = "unmanaged"}),
+    row<&Spec::groups, nullptr, &Key::name>(
+        {.key = "groups", .field = "name", .slot = 1}),
+    row<&Spec::cores, nullptr, &Key::num_cores>(
+        {.key = "cores", .field = "cores", .slot = 2}),
+    row<&Spec::thresholds, &Cell::threshold, &Key::threshold>(
+        {.key = "thresholds", .noun = "threshold", .field = "threshold",
+         .slot = 4, .solo = "0"}),
+    row<&Spec::threshold_modes, &Cell::threshold_mode, &Key::threshold_mode,
+        thresholdModeRegistry>({.key = "threshold_modes",
+                                .noun = "threshold mode", .field = "tmode",
+                                .slot = 5, .solo = "missratio"}),
+    row<&Spec::partitioners, &Cell::partitioner, &Key::partitioner,
+        partitionerRegistry>({.key = "partitioners", .noun = "partitioner",
+                              .field = "partitioner", .slot = 6,
+                              .solo = "lookahead"}),
+    row<&Spec::repl, &Cell::repl, &Key::repl, replPolicyRegistry>(
+        {.key = "repl", .noun = "replacement policy", .field = "repl",
+         .slot = 7}),
+    row<&Spec::gating, &Cell::gating, &Key::gating, gatingModeRegistry>(
+        {.key = "gating", .noun = "gating mode", .field = "gating",
+         .slot = 8, .solo = "gatedvdd"}),
+    row<&Spec::seeds, &Cell::seed, &Key::seed>(
+        {.key = "seeds", .noun = "seed", .field = "seed", .slot = 9,
+         .innermost = true}),
+    row<&Spec::banks, &Cell::banks, &Key::banks>(
+        {.key = "banks", .field = "banks", .slot = 10,
+         .omit = Omit::Banking, .solo = "0"}),
+    row<&Spec::slice_hashes, &Cell::slice_hash, &Key::slice_hash,
+        sliceHashRegistry>({.key = "slice_hashes", .noun = "slice hash",
+                            .field = "slice-hash", .slot = 11,
+                            .omit = Omit::Banking, .solo = "mod"}),
+    row<&Spec::sampling, &Cell::sampling, &Key::sampling, samplingRegistry>(
+        {.key = "sampling", .noun = "sampling mode", .field = "sampling",
+         .slot = 12, .omit = Omit::Sampling}),
+    row<&Spec::set_sample_period, nullptr, &Key::set_sample_period>(
+        {.key = "set_sample_period", .field = "sample-period", .slot = 13,
+         .omit = Omit::Sampling}),
+    row<&Spec::op_sample_windows, nullptr, &Key::op_sample_windows>(
+        {.key = "op_sample_windows", .field = "op-windows", .slot = 14,
+         .omit = Omit::Sampling}),
+    row<&Spec::scale, nullptr, &Key::scale, scaleRegistry>(
+        {.key = "scale", .field = "scale", .slot = 3}),
+    row<&Spec::solos>({.key = "solos"}),
+    row<&Spec::solo_cores>({.key = "solo_cores"}),
+};
+
+/** The key-line fields in line order (indexed by slot). */
+constexpr auto kKeyLine = [] {
+    std::array<const Field *, std::ranges::count_if(kFields, [](auto &f) {
+                                  return f.field != nullptr;
+                              })>
+        line{};
+    for (const Field &f : kFields) {
+        if (f.field != nullptr) {
+            line[f.slot] = &f;
+        }
+    }
+    return line;
+}();
+static_assert(std::ranges::find(kKeyLine, nullptr) == kKeyLine.end(),
+              "each key-line slot holds exactly one field");
+
+/** The swept axes in expansion order: table order, innermost rows
+ *  last; @p solo_only keeps the axes solo keys take from the cell. */
+std::vector<const Field *>
+sweepOrder(bool solo_only)
+{
+    std::vector<const Field *> axes;
+    for (const bool innermost : {false, true}) {
+        for (const Field &f : kFields) {
+            if (f.pick != nullptr && f.innermost == innermost &&
+                (!solo_only || f.solo == nullptr)) {
+                axes.push_back(&f);
+            }
+        }
+    }
+    return axes;
+}
+
+/** Calls @p emit with every cell of the cross-product of @p axes over
+ *  @p cell, the first axis outermost. */
+template <typename Emit>
+void
+forEachCell(const ExperimentSpec &spec, std::span<const Field *const> axes,
+            Cell &cell, Emit &&emit)
+{
+    if (axes.empty()) {
+        emit(cell);
+        return;
+    }
+    for (std::size_t i = 0; axes.front()->pick(spec, i, cell); ++i) {
+        forEachCell(spec, axes.subspan(1), cell, emit);
+    }
+}
+
+/** The RunKey members the spec and @p cell determine, for a key of
+ *  @p kind: a solo key holds the rows' solo values where they have
+ *  one. */
+sim::RunKey
+buildKey(const ExperimentSpec &spec, const Cell &cell, sim::RunKey::Kind kind)
+{
+    static const sim::RunKey solo_base = [] {
+        sim::RunKey key;
+        key.kind = sim::RunKey::Kind::Solo;
+        for (const Field &f : kFields) {
+            if (f.solo != nullptr) {
+                f.parse_key(f.solo, key);
+            }
+        }
+        return key;
+    }();
+    const bool solo = kind == sim::RunKey::Kind::Solo;
+    sim::RunKey key = solo ? solo_base : sim::RunKey{};
+    for (const Field &f : kFields) {
+        if (f.build != nullptr && !(solo && f.solo != nullptr)) {
+            f.build(f, spec, cell, key);
+        }
+    }
+    key.scale = scaleRegistry().get(spec.scale);
+    // Knobs the mode does not use are zeroed, so exact keys carry no
+    // sampling state.
+    key.set_sample_period =
+        sampling::setSampled(key.sampling) ? spec.set_sample_period : 0;
+    key.op_sample_windows =
+        key.sampling != sampling::Mode::Exact ? spec.op_sample_windows : 0;
+    return key;
 }
 
 /** The apps named by the solos axis ("*" expands to all of Table 3). */
@@ -66,93 +418,15 @@ resolveSolos(const ExperimentSpec &spec)
     return apps;
 }
 
-/** First value of an axis, or fatal when the axis is empty and a cell
- *  did not override it. */
-template <typename T>
-const T &
-firstOf(const std::vector<T> &axis, const char *what)
-{
-    if (axis.empty()) {
-        COOPSIM_FATAL("cell does not specify a ", what,
-                      " and the spec's ", what, " axis is empty");
-    }
-    return axis.front();
-}
-
-/** A cell's axis name, or the spec's first value when it is empty. */
-const std::string &
-nameOf(const std::string &cell_value,
-       const std::vector<std::string> &axis, const char *what)
-{
-    return !cell_value.empty() ? cell_value : firstOf(axis, what);
-}
-
-/** The fields group and solo keys share: scale, repl, seed and the
- *  sampling mode with its knobs. Knobs that don't apply to the mode
- *  are zeroed so keys stay canonical (exact keys format
- *  byte-identically to the pre-sampling encoding). */
-sim::RunKey
-commonKey(const ExperimentSpec &spec, const Cell &cell)
-{
-    sim::RunKey key;
-    key.scale = scaleRegistry().get(spec.scale);
-    key.repl = replPolicyRegistry().get(
-        nameOf(cell.repl, spec.repl, "replacement policy"));
-    key.seed = cell.seed.value_or(firstOf(spec.seeds, "seed"));
-    const sampling::Mode mode = samplingRegistry().get(
-        nameOf(cell.sampling, spec.sampling, "sampling mode"));
-    key.sampling = mode;
-    key.set_sample_period =
-        sampling::setSampled(mode) ? spec.set_sample_period : 0;
-    key.op_sample_windows =
-        mode != sampling::Mode::Exact ? spec.op_sample_windows : 0;
-    return key;
-}
-
-/** Appends the groups @p pattern resolves to that pass the spec's
- *  cores filter (fatal on an unknown group or glob). */
-void
-resolveGroupsInto(const ExperimentSpec &spec, const std::string &pattern,
-                  std::vector<trace::WorkloadGroup> &groups)
-{
-    for (trace::WorkloadGroup &group : resolveWorkloads(pattern)) {
-        if (!spec.cores.empty()) {
-            const auto size = static_cast<std::uint32_t>(group.apps.size());
-            bool keep = false;
-            for (const std::uint32_t cores : spec.cores) {
-                keep = keep || cores == size;
-            }
-            if (!keep) {
-                continue;
-            }
-        }
-        groups.push_back(std::move(group));
-    }
-}
-
 } // namespace
 
 sim::RunKey
 groupKey(const ExperimentSpec &spec, const Cell &cell)
 {
-    sim::RunKey key = commonKey(spec, cell);
-    key.kind = sim::RunKey::Kind::Group;
-    key.scheme = nameOf(cell.scheme, spec.schemes, "scheme");
-    schemeRegistry().get(key.scheme); // fatal here, not in a worker
+    sim::RunKey key = buildKey(spec, cell, sim::RunKey::Kind::Group);
     key.name = cell.group;
     key.num_cores = static_cast<std::uint32_t>(
         workloadRegistry().get(cell.group).apps.size());
-    key.threshold =
-        cell.threshold.value_or(firstOf(spec.thresholds, "threshold"));
-    key.threshold_mode = thresholdModeRegistry().get(nameOf(
-        cell.threshold_mode, spec.threshold_modes, "threshold mode"));
-    key.partitioner = partitionerRegistry().get(
-        nameOf(cell.partitioner, spec.partitioners, "partitioner"));
-    key.gating = gatingModeRegistry().get(
-        nameOf(cell.gating, spec.gating, "gating mode"));
-    key.banks = cell.banks.value_or(firstOf(spec.banks, "banks"));
-    key.slice_hash = sliceHashRegistry().get(
-        nameOf(cell.slice_hash, spec.slice_hashes, "slice hash"));
     return key;
 }
 
@@ -160,17 +434,9 @@ sim::RunKey
 soloKey(const ExperimentSpec &spec, const std::string &app,
         std::uint32_t cores, const Cell &cell)
 {
-    sim::RunKey key = commonKey(spec, cell);
-    key.kind = sim::RunKey::Kind::Solo;
-    key.scheme = "unmanaged";
+    sim::RunKey key = buildKey(spec, cell, sim::RunKey::Kind::Solo);
     key.name = app;
     key.num_cores = cores;
-    key.threshold = 0.0;
-    key.threshold_mode = partition::ThresholdMode::MissRatio;
-    key.partitioner = partition::Partitioner::Lookahead;
-    key.gating = llc::GatingMode::GatedVdd;
-    key.banks = 0;
-    key.slice_hash = llc::SliceHashKind::Mod;
     return key;
 }
 
@@ -200,31 +466,16 @@ validateSpecGroups(const ExperimentSpec &spec)
         COOPSIM_FATAL("unknown layout '", spec.layout, "' (expected ",
                       known, ")");
     }
-    for (const std::string &scheme : spec.schemes) {
-        schemeRegistry().get(scheme);
+    // Building each axis value into a key resolves every name.
+    for (const Field &f : kFields) {
+        Cell cell;
+        sim::RunKey key;
+        for (std::size_t i = 0; f.pick != nullptr && f.pick(spec, i, cell);
+             ++i) {
+            f.build(f, spec, cell, key);
+        }
     }
-    std::vector<trace::WorkloadGroup> groups;
-    for (const std::string &pattern : spec.groups) {
-        resolveGroupsInto(spec, pattern, groups);
-    }
-    for (const std::string &mode : spec.threshold_modes) {
-        thresholdModeRegistry().get(mode);
-    }
-    for (const std::string &partitioner : spec.partitioners) {
-        partitionerRegistry().get(partitioner);
-    }
-    for (const std::string &policy : spec.repl) {
-        replPolicyRegistry().get(policy);
-    }
-    for (const std::string &mode : spec.gating) {
-        gatingModeRegistry().get(mode);
-    }
-    for (const std::string &hash : spec.slice_hashes) {
-        sliceHashRegistry().get(hash);
-    }
-    for (const std::string &mode : spec.sampling) {
-        samplingRegistry().get(mode);
-    }
+    std::vector<trace::WorkloadGroup> groups = resolveSpecGroups(spec);
     if (spec.set_sample_period != 0 &&
         !isPowerOfTwo(spec.set_sample_period)) {
         COOPSIM_FATAL("set_sample_period ", spec.set_sample_period,
@@ -288,7 +539,13 @@ resolveSpecGroups(const ExperimentSpec &spec)
 {
     std::vector<trace::WorkloadGroup> groups;
     for (const std::string &pattern : spec.groups) {
-        resolveGroupsInto(spec, pattern, groups);
+        for (trace::WorkloadGroup &group : resolveWorkloads(pattern)) {
+            const auto size = static_cast<std::uint32_t>(group.apps.size());
+            if (spec.cores.empty() ||
+                std::ranges::find(spec.cores, size) != spec.cores.end()) {
+                groups.push_back(std::move(group));
+            }
+        }
     }
     return groups;
 }
@@ -303,67 +560,36 @@ std::vector<sim::RunKey>
 expandSpec(const ExperimentSpec &spec,
            const std::vector<trace::WorkloadGroup> &groups)
 {
+    static const std::vector<const Field *> group_axes = sweepOrder(false);
+    static const std::vector<const Field *> solo_axes = sweepOrder(true);
     std::vector<sim::RunKey> keys;
 
     // Group runs: the full cross-product, groups outermost so all
     // cells of one table row are adjacent in the queue.
     for (const trace::WorkloadGroup &group : groups) {
-      for (const std::string &scheme : spec.schemes) {
-       for (const double threshold : spec.thresholds) {
-        for (const std::string &tmode : spec.threshold_modes) {
-         for (const std::string &part : spec.partitioners) {
-          for (const std::string &policy : spec.repl) {
-           for (const std::string &gating : spec.gating) {
-            for (const std::uint32_t banks : spec.banks) {
-             for (const std::string &hash : spec.slice_hashes) {
-              for (const std::string &samp : spec.sampling) {
-               for (const std::uint64_t seed : spec.seeds) {
-                   keys.push_back(groupKey(
-                       spec, {.group = group.name,
-                              .scheme = scheme,
-                              .threshold = threshold,
-                              .threshold_mode = tmode,
-                              .partitioner = part,
-                              .repl = policy,
-                              .gating = gating,
-                              .seed = seed,
-                              .banks = banks,
-                              .slice_hash = hash,
-                              .sampling = samp}));
-               }
-              }
-             }
-            }
-           }
-          }
-         }
-        }
-       }
-      }
+        Cell cell{.group = group.name};
+        forEachCell(spec, group_axes, cell, [&](const Cell &full) {
+            keys.push_back(groupKey(spec, full));
+        });
     }
 
-    // Solo baselines: the solo axes are (app x cores x repl x sampling
-    // x seed), since soloKey() normalises every other axis away. An
-    // (app, cores) pair shared by several groups is expanded once, and
-    // repeated axis values yield each key once.
+    // Solo baselines: the solo axes are app x cores x the axes soloKey()
+    // inherits (repl, sampling, seed); it normalises every other axis
+    // away. An (app, cores) pair shared by several groups is expanded
+    // once, and repeated axis values yield each key once.
     std::set<std::pair<std::string, std::uint32_t>> expanded;
     std::unordered_set<sim::RunKey, sim::RunKeyHash> seen;
     auto add_solo = [&](const std::string &app, std::uint32_t cores) {
         if (!expanded.emplace(app, cores).second) {
             return;
         }
-        for (const std::string &policy : spec.repl) {
-            for (const std::string &samp : spec.sampling) {
-                for (const std::uint64_t seed : spec.seeds) {
-                    sim::RunKey key = soloKey(
-                        spec, app, cores,
-                        {.repl = policy, .seed = seed, .sampling = samp});
-                    if (seen.insert(key).second) {
-                        keys.push_back(std::move(key));
-                    }
-                }
+        Cell cell;
+        forEachCell(spec, solo_axes, cell, [&](const Cell &full) {
+            sim::RunKey key = soloKey(spec, app, cores, full);
+            if (seen.insert(key).second) {
+                keys.push_back(std::move(key));
             }
-        }
+        });
     };
     if (spec.with_solo) {
         for (const trace::WorkloadGroup &group : groups) {
@@ -378,6 +604,20 @@ expandSpec(const ExperimentSpec &spec,
         add_solo(app, spec.solo_cores);
     }
     return keys;
+}
+
+std::vector<SweptAxis>
+sweptAxes()
+{
+    std::vector<SweptAxis> axes;
+    for (const Field &f : kFields) {
+        if (f.pick != nullptr) {
+            axes.push_back({f.key, f.names != nullptr
+                                       ? f.names()
+                                       : std::vector<std::string>{}});
+        }
+    }
+    return axes;
 }
 
 std::vector<sim::RunKey>
@@ -407,62 +647,16 @@ formatSpec(const ExperimentSpec &spec)
 {
     std::string out = kSpecMagic;
     out += "\n";
-    auto line = [&out](const char *key, const std::string &value) {
-        out += key;
-        if (!value.empty()) {
-            out += " ";
-            out += value;
+    for (const Field &f : kFields) {
+        out += f.key;
+        const std::size_t bare = out.size();
+        out += " ";
+        f.format(spec, out);
+        if (out.size() == bare + 1) {
+            out.pop_back(); // an empty value leaves the bare key
         }
         out += "\n";
-    };
-    line("name", spec.name);
-    line("title", spec.title);
-    line("layout", spec.layout);
-    line("metric", spec.metric);
-    line("baseline", spec.baseline);
-    line("higher_better", spec.higher_better ? "on" : "off");
-    line("with_solo", spec.with_solo ? "on" : "off");
-    line("schemes", joinWords(spec.schemes));
-    line("groups", joinWords(spec.groups));
-    {
-        std::vector<std::string> words;
-        for (const std::uint32_t cores : spec.cores) {
-            words.push_back(std::to_string(cores));
-        }
-        line("cores", joinWords(words));
     }
-    {
-        std::vector<std::string> words;
-        for (const double t : spec.thresholds) {
-            words.push_back(fmtDouble(t));
-        }
-        line("thresholds", joinWords(words));
-    }
-    line("threshold_modes", joinWords(spec.threshold_modes));
-    line("partitioners", joinWords(spec.partitioners));
-    line("repl", joinWords(spec.repl));
-    line("gating", joinWords(spec.gating));
-    {
-        std::vector<std::string> words;
-        for (const std::uint64_t seed : spec.seeds) {
-            words.push_back(std::to_string(seed));
-        }
-        line("seeds", joinWords(words));
-    }
-    {
-        std::vector<std::string> words;
-        for (const std::uint32_t banks : spec.banks) {
-            words.push_back(std::to_string(banks));
-        }
-        line("banks", joinWords(words));
-    }
-    line("slice_hashes", joinWords(spec.slice_hashes));
-    line("sampling", joinWords(spec.sampling));
-    line("set_sample_period", std::to_string(spec.set_sample_period));
-    line("op_sample_windows", std::to_string(spec.op_sample_windows));
-    line("scale", spec.scale);
-    line("solos", joinWords(spec.solos));
-    line("solo_cores", std::to_string(spec.solo_cores));
     return out;
 }
 
@@ -485,78 +679,13 @@ parseSpec(const std::string &text)
         }
         const std::size_t space = line.find(' ');
         const std::string key = line.substr(0, space);
-        const std::string value =
-            space == std::string::npos ? "" : line.substr(space + 1);
-
-        if (key == "name") {
-            spec.name = value;
-        } else if (key == "title") {
-            spec.title = value;
-        } else if (key == "layout") {
-            spec.layout = value;
-        } else if (key == "metric") {
-            spec.metric = value;
-        } else if (key == "baseline") {
-            spec.baseline = value;
-        } else if (key == "higher_better") {
-            spec.higher_better = parseBool(value, "higher_better");
-        } else if (key == "with_solo") {
-            spec.with_solo = parseBool(value, "with_solo");
-        } else if (key == "schemes") {
-            spec.schemes = splitWords(value);
-        } else if (key == "groups") {
-            spec.groups = splitWords(value);
-        } else if (key == "cores") {
-            spec.cores.clear();
-            for (const std::string &word : splitWords(value)) {
-                spec.cores.push_back(static_cast<std::uint32_t>(
-                    parseUint(word, "cores")));
-            }
-        } else if (key == "thresholds") {
-            spec.thresholds.clear();
-            for (const std::string &word : splitWords(value)) {
-                spec.thresholds.push_back(
-                    parseDouble(word, "threshold"));
-            }
-        } else if (key == "threshold_modes") {
-            spec.threshold_modes = splitWords(value);
-        } else if (key == "partitioners") {
-            spec.partitioners = splitWords(value);
-        } else if (key == "repl") {
-            spec.repl = splitWords(value);
-        } else if (key == "gating") {
-            spec.gating = splitWords(value);
-        } else if (key == "seeds") {
-            spec.seeds.clear();
-            for (const std::string &word : splitWords(value)) {
-                spec.seeds.push_back(parseUint(word, "seed"));
-            }
-        } else if (key == "banks") {
-            spec.banks.clear();
-            for (const std::string &word : splitWords(value)) {
-                spec.banks.push_back(static_cast<std::uint32_t>(
-                    parseUint(word, "banks")));
-            }
-        } else if (key == "slice_hashes") {
-            spec.slice_hashes = splitWords(value);
-        } else if (key == "sampling") {
-            spec.sampling = splitWords(value);
-        } else if (key == "set_sample_period") {
-            spec.set_sample_period = static_cast<std::uint32_t>(
-                parseUint(value, "set_sample_period"));
-        } else if (key == "op_sample_windows") {
-            spec.op_sample_windows = static_cast<std::uint32_t>(
-                parseUint(value, "op_sample_windows"));
-        } else if (key == "scale") {
-            spec.scale = value;
-        } else if (key == "solos") {
-            spec.solos = splitWords(value);
-        } else if (key == "solo_cores") {
-            spec.solo_cores = static_cast<std::uint32_t>(
-                parseUint(value, "solo_cores"));
-        } else {
+        const auto f = std::ranges::find_if(
+            kFields, [&key](const Field &f) { return key == f.key; });
+        if (f == std::end(kFields)) {
             COOPSIM_FATAL("unknown spec key '", key, "'");
         }
+        f->parse(space == std::string::npos ? "" : line.substr(space + 1),
+                 f->noun, spec);
     }
     return spec;
 }
@@ -578,35 +707,17 @@ formatRunKey(const sim::RunKey &key)
 {
     std::string out =
         key.kind == sim::RunKey::Kind::Group ? "group" : "solo";
-    auto field = [&out](const char *name, const std::string &value) {
+    for (const Field *f : kKeyLine) {
+        const auto omitted = [&](const Field *g) {
+            return g->omit != f->omit || g->is_default(key);
+        };
+        if (f->omit != Omit::Never && std::ranges::all_of(kKeyLine, omitted)) {
+            continue; // every field of its omission group is at default
+        }
         out += " ";
-        out += name;
+        out += f->field;
         out += "=";
-        out += value;
-    };
-    field("scheme", key.scheme);
-    field("name", key.name);
-    field("cores", std::to_string(key.num_cores));
-    field("scale", scaleKeyOf(key.scale));
-    field("threshold", fmtDouble(key.threshold));
-    field("tmode", thresholdModeKeyOf(key.threshold_mode));
-    field("partitioner", partitionerKeyOf(key.partitioner));
-    field("repl", replPolicyKeyOf(key.repl));
-    field("gating", gatingModeKeyOf(key.gating));
-    field("seed", std::to_string(key.seed));
-    // Banking fields are appended only when non-default so every
-    // pre-banking key line (and store entry) stays byte-stable.
-    if (key.banks != 0 ||
-        key.slice_hash != llc::SliceHashKind::Mod) {
-        field("banks", std::to_string(key.banks));
-        field("slice-hash", sliceHashKeyOf(key.slice_hash));
-    }
-    // Sampling fields follow the same rule: exact keys (the default)
-    // carry none, so every pre-sampling key line stays byte-stable.
-    if (key.sampling != sampling::Mode::Exact) {
-        field("sampling", samplingKeyOf(key.sampling));
-        field("sample-period", std::to_string(key.set_sample_period));
-        field("op-windows", std::to_string(key.op_sample_windows));
+        f->format_key(key, out);
     }
     return out;
 }
@@ -628,95 +739,10 @@ tryParseRunKey(const std::string &line, sim::RunKey &out)
             return false;
         }
         const std::string name = words[i].substr(0, eq);
-        const std::string value = words[i].substr(eq + 1);
-        if (name == "scheme") {
-            if (!schemeRegistry().contains(value)) {
-                return false;
-            }
-            key.scheme = value;
-        } else if (name == "name") {
-            key.name = value;
-        } else if (name == "cores") {
-            std::uint64_t cores = 0;
-            if (!detail::tryParseUint(value, cores)) {
-                return false;
-            }
-            key.num_cores = static_cast<std::uint32_t>(cores);
-        } else if (name == "scale") {
-            const sim::RunScale *scale = scaleRegistry().find(value);
-            if (scale == nullptr) {
-                return false;
-            }
-            key.scale = *scale;
-        } else if (name == "threshold") {
-            if (!detail::tryParseDouble(value, key.threshold)) {
-                return false;
-            }
-        } else if (name == "tmode") {
-            const partition::ThresholdMode *mode =
-                thresholdModeRegistry().find(value);
-            if (mode == nullptr) {
-                return false;
-            }
-            key.threshold_mode = *mode;
-        } else if (name == "partitioner") {
-            const partition::Partitioner *partitioner =
-                partitionerRegistry().find(value);
-            if (partitioner == nullptr) {
-                return false;
-            }
-            key.partitioner = *partitioner;
-        } else if (name == "repl") {
-            const cache::ReplPolicy *repl =
-                replPolicyRegistry().find(value);
-            if (repl == nullptr) {
-                return false;
-            }
-            key.repl = *repl;
-        } else if (name == "gating") {
-            const llc::GatingMode *gating =
-                gatingModeRegistry().find(value);
-            if (gating == nullptr) {
-                return false;
-            }
-            key.gating = *gating;
-        } else if (name == "seed") {
-            if (!detail::tryParseUint(value, key.seed)) {
-                return false;
-            }
-        } else if (name == "banks") {
-            std::uint64_t banks = 0;
-            if (!detail::tryParseUint(value, banks)) {
-                return false;
-            }
-            key.banks = static_cast<std::uint32_t>(banks);
-        } else if (name == "slice-hash") {
-            const llc::SliceHashKind *hash =
-                sliceHashRegistry().find(value);
-            if (hash == nullptr) {
-                return false;
-            }
-            key.slice_hash = *hash;
-        } else if (name == "sampling") {
-            const sampling::Mode *mode = samplingRegistry().find(value);
-            if (mode == nullptr) {
-                return false;
-            }
-            key.sampling = *mode;
-        } else if (name == "sample-period") {
-            std::uint64_t period = 0;
-            if (!detail::tryParseUint(value, period)) {
-                return false;
-            }
-            key.set_sample_period = static_cast<std::uint32_t>(period);
-        } else if (name == "op-windows") {
-            std::uint64_t windows = 0;
-            if (!detail::tryParseUint(value, windows)) {
-                return false;
-            }
-            key.op_sample_windows =
-                static_cast<std::uint32_t>(windows);
-        } else {
+        const auto f = std::ranges::find_if(
+            kKeyLine, [&name](const Field *f) { return name == f->field; });
+        if (f == kKeyLine.end() ||
+            !(*f)->parse_key(words[i].substr(eq + 1), key)) {
             return false;
         }
     }

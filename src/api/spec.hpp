@@ -192,6 +192,18 @@ std::vector<sim::RunKey>
 expandSpec(const ExperimentSpec &spec,
            const std::vector<trace::WorkloadGroup> &groups);
 
+/** A swept axis of the spec/key table. */
+struct SweptAxis
+{
+    /** Spec key ("repl"). */
+    std::string key;
+    /** Every name its registry holds; empty for a numeric axis. */
+    std::vector<std::string> names;
+};
+
+/** The swept axes, in spec-text order (the table tests walk). */
+std::vector<SweptAxis> sweptAxes();
+
 /**
  * Deterministic shard of an expanded key list: the keys at positions
  * index, index + count, index + 2*count, ... (round-robin, so every
@@ -207,8 +219,9 @@ std::string formatSpec(const ExperimentSpec &spec);
 
 /**
  * Parses the canonical encoding. Unknown keys and malformed values
- * are fatal; omitted keys keep their defaults, so hand-written spec
- * files only state what they change. parseSpec(formatSpec(s)) == s.
+ * (a 32-bit field above 4294967295 included) are fatal; omitted keys
+ * keep their defaults, so hand-written spec files only state what they
+ * change. parseSpec(formatSpec(s)) == s.
  */
 ExperimentSpec parseSpec(const std::string &text);
 
@@ -224,8 +237,9 @@ std::string formatRunKey(const sim::RunKey &key);
 /** Parses formatRunKey() output; parseRunKey(formatRunKey(k)) == k. */
 sim::RunKey parseRunKey(const std::string &line);
 
-/** Non-fatal parseRunKey: false on malformed input or unknown
- *  registry names (the result-store loader skips such lines). */
+/** Non-fatal parseRunKey: false on malformed input, unknown registry
+ *  names or a 32-bit field above 4294967295 (the result-store loader
+ *  skips such lines). */
 bool tryParseRunKey(const std::string &line, sim::RunKey &out);
 
 } // namespace coopsim::api

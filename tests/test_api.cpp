@@ -7,7 +7,9 @@
  *  - ExperimentSpec -> RunKey cross-product expansion (counts, solo
  *    deduplication, solos axis);
  *  - canonical text encoding round-trips for specs and RunKeys
- *    (parse(format(x)) == x, including non-representable decimals);
+ *    (parse(format(x)) == x, including non-representable decimals),
+ *    for every value of every swept axis of the spec/key table, and
+ *    byte for byte for key lines a store already holds;
  *  - the unified CLI parser (uniform unknown-flag rejection);
  *  - the one group-key and solo-key builders (eager validation, solo
  *    normalisation);
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 
 #include <coopsim/experiment.hpp>
 
@@ -89,9 +92,11 @@ TEST(Registry, DuplicateRegistrationIsFatal)
 
 TEST(Registry, EnumKeysRoundTrip)
 {
-    EXPECT_EQ(replPolicyKeyOf(cache::ReplPolicy::Random), "random");
-    EXPECT_EQ(gatingModeKeyOf(llc::GatingMode::Drowsy), "drowsy");
-    EXPECT_EQ(thresholdModeKeyOf(
+    EXPECT_EQ(replPolicyRegistry().nameOf(cache::ReplPolicy::Random),
+              "random");
+    EXPECT_EQ(gatingModeRegistry().nameOf(llc::GatingMode::Drowsy),
+              "drowsy");
+    EXPECT_EQ(thresholdModeRegistry().nameOf(
                   partition::ThresholdMode::PaperLiteral),
               "paperliteral");
     EXPECT_EQ(scaleKeyOf(sim::RunScale::Paper), "paper");
@@ -226,7 +231,20 @@ TEST(SpecEncoding, ParseRejectsUnknownKeysAndBadMagic)
                  FatalError);
     EXPECT_THROW(parseSpec("coopsim-spec v1\nthresholds banana\n"),
                  FatalError);
+    // 32-bit fields reject values above UINT32_MAX instead of
+    // truncating them (cores 4294967298 used to run as cores 2), and
+    // thresholds reject NaN.
+    for (const char *line :
+         {"cores 4294967298", "cores 2 4294967296", "banks 4294967296",
+          "set_sample_period 4294967296", "op_sample_windows 4294967297",
+          "solo_cores 4294967298", "thresholds nan"}) {
+        EXPECT_THROW(parseSpec(std::string("coopsim-spec v1\n") + line),
+                     FatalError)
+            << line;
+    }
     setThrowOnFatal(false);
+    EXPECT_EQ(parseSpec("coopsim-spec v1\ncores 4294967295\n").cores,
+              std::vector<std::uint32_t>{4294967295u});
 }
 
 TEST(SpecEncoding, HandWrittenSpecsKeepDefaultsForOmittedKeys)
@@ -259,6 +277,84 @@ TEST(RunKeyEncoding, GroupAndSoloKeysRoundTrip)
 
     const sim::RunKey solo = soloKey(spec, "h264ref", 2, cell);
     EXPECT_EQ(parseRunKey(formatRunKey(solo)), solo);
+
+    // Key lines copied from a store written before the axis table: the
+    // key builders must still produce them byte for byte, and each
+    // must parse and format back unchanged.
+    spec.seeds = {42};
+    const Cell banked = {.group = "G32-cpu1", .banks = 0,
+                         .slice_hash = "xor"};
+    const Cell sampled = {.group = "G16-cpu1", .sampling = "setop"};
+    const std::pair<sim::RunKey, const char *> pins[] = {
+        {groupKey(spec, {.group = "G2-1"}),
+         "group scheme=coop name=G2-1 cores=2 scale=test threshold=0.05 "
+         "tmode=missratio partitioner=lookahead repl=lru "
+         "gating=gatedvdd seed=42"},
+        {soloKey(spec, "astar", 2),
+         "solo scheme=unmanaged name=astar cores=2 scale=test "
+         "threshold=0 tmode=missratio partitioner=lookahead repl=lru "
+         "gating=gatedvdd seed=42"},
+        {groupKey(spec, banked),
+         "group scheme=coop name=G32-cpu1 cores=32 scale=test "
+         "threshold=0.05 tmode=missratio partitioner=lookahead repl=lru "
+         "gating=gatedvdd seed=42 banks=0 slice-hash=xor"},
+        {groupKey(spec, sampled),
+         "group scheme=coop name=G16-cpu1 cores=16 scale=test "
+         "threshold=0.05 tmode=missratio partitioner=lookahead repl=lru "
+         "gating=gatedvdd seed=42 sampling=setop sample-period=0 "
+         "op-windows=0"},
+    };
+    for (const auto &[key, line] : pins) {
+        EXPECT_EQ(formatRunKey(key), line);
+        EXPECT_EQ(parseRunKey(line), key) << line;
+        EXPECT_EQ(formatRunKey(parseRunKey(line)), line);
+    }
+}
+
+TEST(RunKeyEncoding, EveryAxisValueRoundTripsThroughSpecAndKeyLine)
+{
+    // Walks the axis table: every registered name of every swept axis,
+    // and the numeric words below wherever an axis accepts them, must
+    // survive spec text -> ExperimentSpec -> group and solo keys ->
+    // key line -> RunKey. Distinct values must give distinct group
+    // keys, so a row that never reaches the key fails too.
+    const std::vector<std::string> numeric = {
+        "0", "1", "0.1", "4294967295", "18446744073709551615"};
+    const std::vector<SweptAxis> axes = sweptAxes();
+    ASSERT_GE(axes.size(), 10u);
+    for (const SweptAxis &axis : axes) {
+        std::vector<std::string> words = axis.names;
+        if (words.empty()) {
+            words = numeric;
+        }
+        std::set<std::string> lines;
+        for (const std::string &word : words) {
+            const std::string text =
+                "coopsim-spec v1\nscale test\n" + axis.key + " " + word;
+            setThrowOnFatal(true);
+            ExperimentSpec spec;
+            sim::RunKey group;
+            try {
+                spec = parseSpec(text);
+                group = groupKey(spec, {.group = "G2-1"});
+            } catch (const FatalError &) {
+                // Numeric words outside the axis' type; never a name.
+                EXPECT_TRUE(axis.names.empty()) << text;
+                continue;
+            }
+            setThrowOnFatal(false);
+            EXPECT_EQ(parseSpec(formatSpec(spec)), spec) << text;
+            const std::string line = formatRunKey(group);
+            EXPECT_EQ(parseRunKey(line), group) << line;
+            EXPECT_TRUE(lines.insert(line).second)
+                << axis.key << " " << word << " gives the same key as "
+                << "another value";
+            const sim::RunKey solo = soloKey(spec, "astar", 2);
+            EXPECT_EQ(parseRunKey(formatRunKey(solo)), solo) << text;
+        }
+        setThrowOnFatal(false);
+        EXPECT_GE(lines.size(), 2u) << axis.key;
+    }
 }
 
 TEST(RunKeyEncoding, ParseRejectsMalformedLines)
@@ -268,6 +364,16 @@ TEST(RunKeyEncoding, ParseRejectsMalformedLines)
     EXPECT_THROW(parseRunKey("group scheme=warp"), FatalError);
     EXPECT_THROW(parseRunKey("group bogus"), FatalError);
     EXPECT_THROW(parseRunKey("group color=red"), FatalError);
+    // 32-bit fields above UINT32_MAX and NaN thresholds are rejected.
+    sim::RunKey key;
+    for (const char *line :
+         {"group cores=4294967298", "group banks=4294967296",
+          "group sample-period=4294967296", "solo op-windows=4294967297",
+          "group threshold=nan"}) {
+        EXPECT_FALSE(tryParseRunKey(line, key)) << line;
+    }
+    EXPECT_TRUE(tryParseRunKey("group cores=4294967295", key));
+    EXPECT_EQ(key.num_cores, 4294967295u);
     setThrowOnFatal(false);
 }
 

@@ -209,11 +209,11 @@ profilesFor(std::uint32_t n)
 
 /** formatResult line of a run under the given driver mode. */
 std::string
-runLine(SystemConfig config, std::uint32_t n, DriverMode mode,
-        double *avg_quantum = nullptr)
+runLine(SystemConfig config, const std::vector<trace::AppProfile> &profiles,
+        DriverMode mode, double *avg_quantum = nullptr)
 {
     config.driver = mode;
-    System system(config, profilesFor(n));
+    System system(config, profiles);
     const RunResult result = system.run();
     if (avg_quantum != nullptr) {
         *avg_quantum = system.driverStats().avgQuantumOps();
@@ -236,10 +236,10 @@ TEST(BatchedDriver, BitIdenticalAcrossCoreCountsAndPartitioners)
         for (const partition::Partitioner p : partitioners) {
             const SystemConfig config = propertyConfig(n, p, 25'000);
             double avg_quantum = 0.0;
-            const std::string batched =
-                runLine(config, n, DriverMode::Batched, &avg_quantum);
+            const std::string batched = runLine(
+                config, profilesFor(n), DriverMode::Batched, &avg_quantum);
             const std::string perop =
-                runLine(config, n, DriverMode::PerOp);
+                runLine(config, profilesFor(n), DriverMode::PerOp);
             ASSERT_EQ(batched, perop)
                 << "n=" << n << " partitioner="
                 << api::partitionerKeyOf(p);
@@ -260,13 +260,28 @@ TEST(BatchedDriver, BitIdenticalOnBankedManyCoreRows)
         config.insts_per_app = 12'000;
         ASSERT_GT(config.llc.banks, 1u) << "n=" << n;
         double avg_quantum = 0.0;
-        const std::string batched =
-            runLine(config, n, DriverMode::Batched, &avg_quantum);
-        EXPECT_EQ(batched, runLine(config, n, DriverMode::PerOp))
+        const std::string batched = runLine(
+            config, profilesFor(n), DriverMode::Batched, &avg_quantum);
+        EXPECT_EQ(batched,
+                  runLine(config, profilesFor(n), DriverMode::PerOp))
             << "n=" << n;
         EXPECT_GT(avg_quantum, 1.0)
             << "n=" << n << ": the batched driver never batched";
     }
+    // Short quanta end on their clock bound anyway, so the rows above
+    // pass even when the last cold core's quantum ignores its warm-up
+    // instruction bound. Here 31 compute-bound cores (povray) take long
+    // clock strides, and the memory-bound core (lbm) warms last with
+    // long quanta: the instruction bound must stop it on the op that
+    // crosses warmup_insts, where the per-op loop stops.
+    SystemConfig config =
+        propertyConfig(32, partition::Partitioner::Lookahead, 6'000);
+    config.insts_per_app = 12'000;
+    std::vector<trace::AppProfile> profiles(31,
+                                            trace::specProfile("povray"));
+    profiles.push_back(trace::specProfile("lbm"));
+    EXPECT_EQ(runLine(config, profiles, DriverMode::Batched),
+              runLine(config, profiles, DriverMode::PerOp));
 }
 
 TEST(BatchedDriver, BitIdenticalAtFullTestScale)
@@ -277,12 +292,12 @@ TEST(BatchedDriver, BitIdenticalAtFullTestScale)
     for (const std::uint32_t n : {2u, 4u}) {
         SystemConfig config =
             makeSystemConfig(n, "coop", RunScale::Test);
-        EXPECT_EQ(runLine(config, n, DriverMode::Batched),
-                  runLine(config, n, DriverMode::PerOp))
+        EXPECT_EQ(runLine(config, profilesFor(n), DriverMode::Batched),
+                  runLine(config, profilesFor(n), DriverMode::PerOp))
             << "n=" << n;
         config.warmup_insts = 0;
-        EXPECT_EQ(runLine(config, n, DriverMode::Batched),
-                  runLine(config, n, DriverMode::PerOp))
+        EXPECT_EQ(runLine(config, profilesFor(n), DriverMode::Batched),
+                  runLine(config, profilesFor(n), DriverMode::PerOp))
             << "n=" << n << " (no warmup)";
     }
 }

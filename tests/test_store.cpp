@@ -14,13 +14,19 @@
  *    starting the pool or running a simulation (run-count stats),
  *    and completed simulations are recorded back into the store;
  *  - crc32() agrees with a bytewise reference loop on random
- *    buffers at unaligned offsets.
+ *    buffers at unaligned offsets;
+ *  - seeded mutations of specs, key lines and store lines either
+ *    parse to a value that formats and re-parses to itself, or are
+ *    rejected (false or FatalError) — never a crash or sanitizer
+ *    report.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -732,4 +738,171 @@ TEST(ExecutorStore, WarmStoreReplaysAWholeSweepWithZeroSimulations)
     EXPECT_EQ(warm.stats().simulations, 0u);
     EXPECT_EQ(warm.stats().store_hits, keys.size());
     EXPECT_EQ(warm.activeWorkers(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Parser mutation fuzzing
+
+namespace
+{
+
+/**
+ * One seeded mutation of an entry of @p corpora (a kind of input drawn
+ * first, so every parser gets its share): one to three rounds of byte
+ * flips, truncations, splices with any other entry, and digit runs
+ * replaced by values just past 32 bits (2^32 + k) or by 2^64.
+ */
+std::string
+mutate(const std::vector<std::vector<std::string>> &corpora,
+       std::mt19937_64 &rng)
+{
+    const auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const auto pick = [&]() -> const std::string & {
+        const std::vector<std::string> &corpus =
+            corpora[below(corpora.size())];
+        return corpus[below(corpus.size())];
+    };
+    std::string text = pick();
+    for (std::size_t round = below(3); round < 3; ++round) {
+        switch (below(4)) {
+        case 0:
+            if (!text.empty()) {
+                text[below(text.size())] ^=
+                    static_cast<char>(1u << below(8));
+            }
+            break;
+        case 1:
+            text.resize(below(text.size() + 1));
+            break;
+        case 2: {
+            const std::string &other = pick();
+            text = text.substr(0, below(text.size() + 1)) +
+                   other.substr(below(other.size() + 1));
+            break;
+        }
+        default: {
+            const std::size_t start =
+                text.find_first_of("0123456789", below(text.size() + 1));
+            if (start == std::string::npos) {
+                break;
+            }
+            const std::size_t end =
+                text.find_first_not_of("0123456789", start);
+            text.replace(start,
+                         end == std::string::npos ? end : end - start,
+                         below(4) == 0
+                             ? "18446744073709551616"
+                             : std::to_string((1ull << 32) + below(3)));
+            break;
+        }
+        }
+    }
+    return text;
+}
+
+} // namespace
+
+TEST(ParserFuzz, MutatedSpecsKeysAndStoreLinesParseOrAreRejected)
+{
+    // Corpus: every spec file, the key lines of its test-scale
+    // expansion, and store lines pairing some of those keys with
+    // results (one from a real sampled test-scale run).
+    std::vector<fs::path> paths;
+    for (const auto &entry : fs::directory_iterator(COOPSIM_SPEC_DIR)) {
+        paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end()); // a fixed corpus order
+    std::vector<std::string> specs;
+    std::vector<std::string> key_lines;
+    std::vector<std::string> store_lines;
+    std::vector<sim::RunKey> keys;
+    setThrowOnFatal(true);
+    for (const fs::path &path : paths) {
+        std::ifstream file(path);
+        std::ostringstream text;
+        text << file.rdbuf();
+        specs.push_back(text.str());
+        api::ExperimentSpec spec = api::parseSpec(text.str());
+        spec.scale = "test";
+        try {
+            for (const sim::RunKey &key : api::expandSpec(spec)) {
+                keys.push_back(key);
+            }
+        } catch (const FatalError &) {
+            // Trace specs name groups only a trace directory registers.
+        }
+    }
+    setThrowOnFatal(false);
+    ASSERT_GE(specs.size(), 16u);
+    ASSERT_FALSE(keys.empty());
+    api::ExperimentSpec sampled;
+    sampled.scale = "test";
+    sampled.sampling = {"setop"};
+    const sim::RunKey sampled_key = api::soloKey(sampled, "astar", 2);
+    store_lines.push_back(
+        formatStoreLine(sampled_key, sim::executeRun(sampled_key)));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        key_lines.push_back(api::formatRunKey(keys[i]));
+        if (i % 16 == 0) {
+            store_lines.push_back(
+                formatStoreLine(keys[i], sampleResult(i)));
+        }
+    }
+    const std::vector<std::vector<std::string>> corpora = {
+        specs, key_lines, store_lines};
+
+    std::mt19937_64 rng(20261020);
+    std::size_t clean_specs = 0;
+    std::size_t clean_keys = 0;
+    std::size_t clean_lines = 0;
+    setThrowOnFatal(true);
+    for (int iteration = 0; iteration < 20000; ++iteration) {
+        const std::string input = mutate(corpora, rng);
+
+        std::optional<api::ExperimentSpec> spec;
+        try {
+            spec = api::parseSpec(input);
+        } catch (const FatalError &) {
+        }
+        if (spec) {
+            ++clean_specs;
+            ASSERT_EQ(api::parseSpec(api::formatSpec(*spec)), *spec)
+                << input;
+        }
+
+        sim::RunKey key;
+        bool parsed = false;
+        try {
+            parsed = api::tryParseRunKey(input, key);
+        } catch (const FatalError &) {
+        }
+        if (parsed) {
+            ++clean_keys;
+            ASSERT_EQ(api::parseRunKey(api::formatRunKey(key)), key)
+                << input;
+        }
+
+        sim::RunResult result;
+        parsed = false;
+        try {
+            parsed = tryParseStoreLine(input, key, result);
+        } catch (const FatalError &) {
+        }
+        if (parsed) {
+            ++clean_lines;
+            const std::string line = formatStoreLine(key, result);
+            sim::RunKey again_key;
+            sim::RunResult again;
+            ASSERT_TRUE(tryParseStoreLine(line, again_key, again)) << input;
+            ASSERT_EQ(again_key, key) << input;
+            ASSERT_EQ(formatStoreLine(again_key, again), line) << input;
+        }
+    }
+    setThrowOnFatal(false);
+    // Mutants that still parse are what the round-trip checks see.
+    EXPECT_GT(clean_specs, 500u);
+    EXPECT_GT(clean_keys, 500u);
+    EXPECT_GT(clean_lines, 500u);
 }
